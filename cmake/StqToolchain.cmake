@@ -17,9 +17,6 @@ option(STQ_LIBFUZZER
 option(STQ_ALLOC_COUNTING
        "Replace global operator new with a counting wrapper so TickStats \
 reports heap allocations per tick" ON)
-option(STQ_SIMD
-       "Compile the AVX2/NEON batch predicate kernels (runtime-detected; \
-scalar fallback is always present and byte-identical)" ON)
 set(STQ_SANITIZE "" CACHE STRING
     "Comma/semicolon-separated sanitizers: address, undefined, thread, leak")
 
@@ -53,14 +50,19 @@ endif()
 if(STQ_SANITIZE)
   # Accept both "address,undefined" and "address;undefined".
   string(REPLACE "," ";" _stq_sanitizers "${STQ_SANITIZE}")
+  if("undefined" IN_LIST _stq_sanitizers)
+    # GCC's "undefined" group leaves out float-cast-overflow, the check
+    # for out-of-range float-to-int conversions (the cell-index casts).
+    list(APPEND _stq_sanitizers float-cast-overflow)
+  endif()
   string(REPLACE ";" "," _stq_san_flag "${_stq_sanitizers}")
   message(STATUS "stq: sanitizers enabled: ${_stq_san_flag}")
   add_compile_options(-fsanitize=${_stq_san_flag} -fno-omit-frame-pointer -g)
   add_link_options(-fsanitize=${_stq_san_flag})
   if("undefined" IN_LIST _stq_sanitizers)
     # Fail loudly on UB rather than printing and continuing.
-    add_compile_options(-fno-sanitize-recover=undefined)
-    add_link_options(-fno-sanitize-recover=undefined)
+    add_compile_options(-fno-sanitize-recover=undefined,float-cast-overflow)
+    add_link_options(-fno-sanitize-recover=undefined,float-cast-overflow)
   endif()
 endif()
 

@@ -23,41 +23,29 @@ void CircleEvaluator::OnCircleMoved(QueryRecord* q, std::vector<Update>* out) {
     SetMembership(state_.objects->FindMutable(oid), q, false, out);
   }
 
-  // Positives: scan the new bounding box. SetMembership suppresses
+  // Positives: gather the new bounding box's candidates, then run the
+  // disk and bounds predicates as two kernels whose bitmaps AND
+  // word-wise — exactly Satisfies() per lane. SetMembership suppresses
   // re-reports of objects already in the answer.
-  if (state_.options->batch_evaluation) {
-    // Batch path: one gather, then the disk and bounds predicates as two
-    // kernels whose bitmaps AND word-wise — exactly Satisfies() per lane.
-    CandidateBatch& b = batch_scratch_;
-    b.clear();
-    state_.grid->ForEachObjectCandidate(
-        q->circle.BoundingBox(), [&](ObjectId oid) {
-          const ObjectRecord* o = state_.objects->Find(oid);
-          STQ_DCHECK(o != nullptr);
-          b.Gather(*o);
-        });
-    const size_t n = b.size();
-    if (n == 0) return;
-    const size_t words = MatchBitmapWords(n);
-    b.bits.resize(words);
-    b.bits2.resize(words);
-    MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n, q->circle.center,
-                                 q->circle.radius * q->circle.radius,
-                                 b.bits.data());
-    MatchKernels::PointsInRect(b.x.data(), b.y.data(), n,
-                               state_.options->bounds, b.bits2.data());
-    for (size_t w = 0; w < words; ++w) b.bits[w] &= b.bits2[w];
-    EmitBatchPositives(b, state_.objects, q, out);
-    return;
-  }
+  CandidateBatch& b = batch_scratch_;
+  b.clear();
   state_.grid->ForEachObjectCandidate(
       q->circle.BoundingBox(), [&](ObjectId oid) {
-        ObjectRecord* o = state_.objects->FindMutable(oid);
+        const ObjectRecord* o = state_.objects->Find(oid);
         STQ_DCHECK(o != nullptr);
-        if (Satisfies(*o, *q, state_.options->bounds)) {
-          SetMembership(o, q, true, out);
-        }
+        b.Gather(*o);
       });
+  const size_t n = b.size();
+  if (n == 0) return;
+  const size_t words = MatchBitmapWords(n);
+  b.bits.resize(words);
+  b.bits2.resize(words);
+  PointsInCircle(b.x.data(), b.y.data(), n, q->circle.center,
+                 q->circle.radius * q->circle.radius, b.bits.data());
+  PointsInRect(b.x.data(), b.y.data(), n, state_.options->bounds,
+               b.bits2.data());
+  for (size_t w = 0; w < words; ++w) b.bits[w] &= b.bits2[w];
+  EmitBatchPositives(b, state_.objects, q, out);
 }
 
 }  // namespace stq

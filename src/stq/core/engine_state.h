@@ -43,8 +43,8 @@ inline void SetMembership(ObjectRecord* o, QueryRecord* q, bool in,
   }
 }
 
-// Structure-of-arrays candidate batch for the vectorized predicate
-// kernels (core/match_kernels.h): parallel arrays of candidate ids and
+// Structure-of-arrays candidate batch for the predicate kernels
+// (core/match_kernels.h): parallel arrays of candidate ids and
 // their sampled state, plus the match bitmaps the kernels fill. Owned as
 // tick-scoped scratch so capacity survives across uses.
 struct CandidateBatch {
@@ -82,8 +82,7 @@ struct CandidateBatch {
 };
 
 // Replays the set bits of `batch.bits` as positive memberships of `q`,
-// ascending by batch index — i.e. in exactly the gather order, which the
-// batch paths arrange to equal the legacy per-object visitation order.
+// ascending by batch index — i.e. in exactly the gather order.
 inline void EmitBatchPositives(const CandidateBatch& batch,
                                ObjectStore* objects, QueryRecord* q,
                                std::vector<Update>* out) {

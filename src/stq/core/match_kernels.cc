@@ -1,7 +1,6 @@
 #include "stq/core/match_kernels.h"
 
-#include <atomic>
-#include <cstring>
+#include <algorithm>
 
 #include "stq/geo/geometry.h"
 
@@ -9,147 +8,75 @@ namespace stq {
 
 namespace {
 
-std::atomic<bool> g_force_scalar{false};
-
-inline void ZeroBits(uint64_t* bits, size_t n) {
-  // n == 0 legitimately arrives with bits == nullptr (an empty batch's
-  // vector data()); memset's pointer argument must be non-null even for
-  // a zero count.
-  if (n == 0) return;
-  std::memset(bits, 0, MatchBitmapWords(n) * sizeof(uint64_t));
+// Writes the n-candidate bitmap one 64-candidate word at a time:
+// `test(i)` is candidate i's predicate. The word is accumulated in a
+// register and stored once, rather than or-ing each result into
+// bits[i / 64], which chains every candidate through a store and a
+// reload of the same word. Every word is written, so no zeroing pass.
+template <typename Test>
+inline void FillBits(size_t n, uint64_t* bits, Test test) {
+  for (size_t base = 0; base < n; base += 64) {
+    const size_t m = std::min<size_t>(64, n - base);
+    uint64_t word = 0;
+    for (size_t j = 0; j < m; ++j) {
+      word |= static_cast<uint64_t>(test(base + j)) << j;
+    }
+    bits[base / 64] = word;
+  }
 }
 
 }  // namespace
 
-void PointsInRectScalar(const double* x, const double* y, size_t n,
-                        const Rect& r, uint64_t* bits) {
-  ZeroBits(bits, n);
-  if (r.IsEmpty()) return;
+void PointsInRect(const double* x, const double* y, size_t n, const Rect& r,
+                  uint64_t* bits) {
+  // Bitwise & (not &&) keeps the tests branch-free. An empty rect
+  // (max < min on some axis) fails one of that axis's two tests for
+  // every candidate, so it matches nothing without a special case.
   const double min_x = r.min_x, max_x = r.max_x;
   const double min_y = r.min_y, max_y = r.max_y;
-  for (size_t i = 0; i < n; ++i) {
-    // Bitwise & (not &&) keeps the loop branch-free and vectorizable.
-    const bool ok = (x[i] >= min_x) & (x[i] <= max_x) & (y[i] >= min_y) &
-                    (y[i] <= max_y);
-    bits[i >> 6] |= static_cast<uint64_t>(ok) << (i & 63);
-  }
+  FillBits(n, bits, [&](size_t i) {
+    return (x[i] >= min_x) & (x[i] <= max_x) & (y[i] >= min_y) &
+           (y[i] <= max_y);
+  });
 }
 
-void PointsInCircleScalar(const double* x, const double* y, size_t n,
-                          const Point& c, double r2, uint64_t* bits) {
-  ZeroBits(bits, n);
+void PointsInCircle(const double* x, const double* y, size_t n,
+                    const Point& c, double r2, uint64_t* bits) {
   const double cx = c.x, cy = c.y;
-  for (size_t i = 0; i < n; ++i) {
+  FillBits(n, bits, [&](size_t i) {
     const double dx = cx - x[i];
     const double dy = cy - y[i];
-    const bool ok = dx * dx + dy * dy <= r2;
-    bits[i >> 6] |= static_cast<uint64_t>(ok) << (i & 63);
-  }
+    return dx * dx + dy * dy <= r2;
+  });
 }
 
-void PointsInRectWindowScalar(const double* x, const double* y,
-                              const double* t, size_t n, const Rect& r,
-                              double t_from, double t_to, double horizon,
-                              uint64_t* bits) {
-  ZeroBits(bits, n);
-  if (r.IsEmpty()) return;
+void PointsInRectWindow(const double* x, const double* y, const double* t,
+                        size_t n, const Rect& r, double t_from, double t_to,
+                        double horizon, uint64_t* bits) {
   const double min_x = r.min_x, max_x = r.max_x;
   const double min_y = r.min_y, max_y = r.max_y;
-  for (size_t i = 0; i < n; ++i) {
-    const double wf = t[i] > t_from ? t[i] : t_from;     // max(t_from, t)
+  FillBits(n, bits, [&](size_t i) {
+    const double wf = t[i] > t_from ? t[i] : t_from;  // max(t_from, t)
     const double reach = t[i] + horizon;
-    const double wt = reach < t_to ? reach : t_to;       // min(t_to, t+h)
-    const bool ok = (wt >= wf) & (x[i] >= min_x) & (x[i] <= max_x) &
-                    (y[i] >= min_y) & (y[i] <= max_y);
-    bits[i >> 6] |= static_cast<uint64_t>(ok) << (i & 63);
-  }
+    const double wt = reach < t_to ? reach : t_to;  // min(t_to, t+h)
+    return (wt >= wf) & (x[i] >= min_x) & (x[i] <= max_x) &
+           (y[i] >= min_y) & (y[i] <= max_y);
+  });
 }
 
-void TrajectoriesIntersectRectWindowScalar(const double* x, const double* y,
-                                           const double* vx, const double* vy,
-                                           const double* t, size_t n,
-                                           const Rect& r, double t_from,
-                                           double t_to, double horizon,
-                                           uint64_t* bits) {
-  ZeroBits(bits, n);
-  for (size_t i = 0; i < n; ++i) {
+void TrajectoriesIntersectRectWindow(const double* x, const double* y,
+                                     const double* vx, const double* vy,
+                                     const double* t, size_t n, const Rect& r,
+                                     double t_from, double t_to,
+                                     double horizon, uint64_t* bits) {
+  FillBits(n, bits, [&](size_t i) {
     const double wf = t[i] > t_from ? t[i] : t_from;
     const double reach = t[i] + horizon;
     const double wt = reach < t_to ? reach : t_to;
-    if (wt < wf) continue;
+    if (wt < wf) return false;
     const Trajectory traj{Point{x[i], y[i]}, Velocity{vx[i], vy[i]}, t[i]};
-    if (TrajectoryIntersectsRect(traj, r, wf, wt, /*t_hit=*/nullptr)) {
-      bits[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-bool MatchKernels::SimdCompiled() {
-#if STQ_SIMD
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool MatchKernels::SimdAvailable() {
-#if STQ_SIMD
-  return SimdRuntimeSupported();
-#else
-  return false;
-#endif
-}
-
-void MatchKernels::ForceScalar(bool force) {
-  g_force_scalar.store(force, std::memory_order_relaxed);
-}
-
-bool MatchKernels::UsingSimd() {
-  return SimdAvailable() && !g_force_scalar.load(std::memory_order_relaxed);
-}
-
-void MatchKernels::PointsInRect(const double* x, const double* y, size_t n,
-                                const Rect& r, uint64_t* bits) {
-#if STQ_SIMD
-  if (UsingSimd()) {
-    PointsInRectSimd(x, y, n, r, bits);
-    return;
-  }
-#endif
-  PointsInRectScalar(x, y, n, r, bits);
-}
-
-void MatchKernels::PointsInCircle(const double* x, const double* y, size_t n,
-                                  const Point& c, double r2, uint64_t* bits) {
-#if STQ_SIMD
-  if (UsingSimd()) {
-    PointsInCircleSimd(x, y, n, c, r2, bits);
-    return;
-  }
-#endif
-  PointsInCircleScalar(x, y, n, c, r2, bits);
-}
-
-void MatchKernels::PointsInRectWindow(const double* x, const double* y,
-                                      const double* t, size_t n, const Rect& r,
-                                      double t_from, double t_to,
-                                      double horizon, uint64_t* bits) {
-#if STQ_SIMD
-  if (UsingSimd()) {
-    PointsInRectWindowSimd(x, y, t, n, r, t_from, t_to, horizon, bits);
-    return;
-  }
-#endif
-  PointsInRectWindowScalar(x, y, t, n, r, t_from, t_to, horizon, bits);
-}
-
-void MatchKernels::TrajectoriesIntersectRectWindow(
-    const double* x, const double* y, const double* vx, const double* vy,
-    const double* t, size_t n, const Rect& r, double t_from, double t_to,
-    double horizon, uint64_t* bits) {
-  // The exact segment clip stays scalar in every build (see header).
-  TrajectoriesIntersectRectWindowScalar(x, y, vx, vy, t, n, r, t_from, t_to,
-                                        horizon, bits);
+    return TrajectoryIntersectsRect(traj, r, wf, wt, /*t_hit=*/nullptr);
+  });
 }
 
 }  // namespace stq

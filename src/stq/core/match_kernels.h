@@ -1,24 +1,16 @@
-// Branch-light predicate kernels for the data-oriented batch evaluation
-// path (see DESIGN.md, "Batch evaluation"). Each kernel tests a
-// structure-of-arrays batch of candidates against ONE query geometry and
-// writes a match bitmap: bit i of bits[i / 64] is set iff candidate i
-// satisfies the predicate. Callers size `bits` with MatchBitmapWords(n);
-// tail bits past n are zero.
+// Branch-light predicate kernels for the batch evaluation pass (see
+// DESIGN.md, "Batch evaluation"). Each kernel tests a structure-of-arrays
+// batch of candidates against ONE query geometry and writes a match
+// bitmap: bit i of bits[i / 64] is set iff candidate i satisfies the
+// predicate. Callers size `bits` with MatchBitmapWords(n); tail bits past
+// n are zero.
 //
 // Contract: every kernel computes the *exact* same predicate as the
 // corresponding scalar evaluator (RangeEvaluator/CircleEvaluator/
 // PredictiveEvaluator::Satisfies and the k-NN dirtiness test) — same
-// IEEE operations, no reassociation, no FMA contraction — so the update
-// stream is byte-identical between the batch and pre-batch paths, and
-// between the scalar and SIMD builds of the kernels.
-//
-// Dispatch: the MatchKernels entry points route to hand-written AVX2
-// (x86-64, runtime-detected) or NEON (aarch64) kernels when the library
-// was built with STQ_SIMD, and to the portable scalar kernels otherwise.
-// The scalar kernels are always compiled — they are the oracle of the
-// differential tests — and ForceScalar() pins dispatch to them at
-// runtime so one binary can compare both paths. Raw intrinsics live only
-// in core/match_kernels_simd.cc (stq-lint enforced).
+// IEEE operations, no reassociation, no FMA contraction — so the batch
+// pass and EvaluateFromScratch agree bit for bit. The loops are plain
+// portable C++ (no intrinsics; see DESIGN.md, "Why one path").
 
 #ifndef STQ_CORE_MATCH_KERNELS_H_
 #define STQ_CORE_MATCH_KERNELS_H_
@@ -34,85 +26,35 @@ namespace stq {
 // Words needed for an n-candidate match bitmap.
 inline constexpr size_t MatchBitmapWords(size_t n) { return (n + 63) / 64; }
 
-// --- Scalar reference kernels (always compiled) --------------------------
-
 // Rect containment: Rect::Contains(x[i], y[i]) — closed bounds, empty
 // rect matches nothing.
-void PointsInRectScalar(const double* x, const double* y, size_t n,
-                        const Rect& r, uint64_t* bits);
+void PointsInRect(const double* x, const double* y, size_t n, const Rect& r,
+                  uint64_t* bits);
 
 // Squared-distance threshold: (x[i]-c.x)^2 + (y[i]-c.y)^2 <= r2. With
 // r2 = radius * radius this is Circle::Contains; with r2 = knn_dist2 it
 // is the k-NN dirtiness test.
-void PointsInCircleScalar(const double* x, const double* y, size_t n,
-                          const Point& c, double r2, uint64_t* bits);
+void PointsInCircle(const double* x, const double* y, size_t n,
+                    const Point& c, double r2, uint64_t* bits);
 
 // Predictive membership for stationary candidates (vel == 0, the whole
 // sampled population): rect containment AND a non-empty effective window
 // min(t_to, t[i] + horizon) >= max(t_from, t[i]) — exactly what
 // PredictiveEvaluator::Satisfies reduces to for a zero-velocity
 // trajectory.
-void PointsInRectWindowScalar(const double* x, const double* y,
-                              const double* t, size_t n, const Rect& r,
-                              double t_from, double t_to, double horizon,
-                              uint64_t* bits);
+void PointsInRectWindow(const double* x, const double* y, const double* t,
+                        size_t n, const Rect& r, double t_from, double t_to,
+                        double horizon, uint64_t* bits);
 
 // Full predictive membership for moving candidates: the exact
 // trajectory-vs-rect clip of PredictiveEvaluator::Satisfies over SoA
-// position/velocity/timestamp arrays. The segment clip stays scalar in
-// every build (bit-exact clipping does not vectorize profitably); the
-// batch win here is the gather and the per-element branch elision for
-// the stationary majority.
-void TrajectoriesIntersectRectWindowScalar(const double* x, const double* y,
-                                           const double* vx, const double* vy,
-                                           const double* t, size_t n,
-                                           const Rect& r, double t_from,
-                                           double t_to, double horizon,
-                                           uint64_t* bits);
-
-#if STQ_SIMD
-// --- Vector kernels (core/match_kernels_simd.cc, STQ_SIMD builds) --------
-bool SimdRuntimeSupported();
-void PointsInRectSimd(const double* x, const double* y, size_t n,
-                      const Rect& r, uint64_t* bits);
-void PointsInCircleSimd(const double* x, const double* y, size_t n,
-                        const Point& c, double r2, uint64_t* bits);
-void PointsInRectWindowSimd(const double* x, const double* y,
-                            const double* t, size_t n, const Rect& r,
-                            double t_from, double t_to, double horizon,
-                            uint64_t* bits);
-#endif
-
-// --- Dispatching entry points --------------------------------------------
-
-struct MatchKernels {
-  // True when the library was built with the STQ_SIMD intrinsics path.
-  static bool SimdCompiled();
-  // True when the intrinsics path is compiled in AND this CPU supports it.
-  static bool SimdAvailable();
-  // Pins dispatch to the scalar kernels (differential tests, ablation
-  // baselines). Thread-safe; affects all subsequent kernel calls.
-  static void ForceScalar(bool force);
-  // Effective dispatch: SimdAvailable() and not forced scalar.
-  static bool UsingSimd();
-
-  static void PointsInRect(const double* x, const double* y, size_t n,
-                           const Rect& r, uint64_t* bits);
-  static void PointsInCircle(const double* x, const double* y, size_t n,
-                             const Point& c, double r2, uint64_t* bits);
-  static void PointsInRectWindow(const double* x, const double* y,
-                                 const double* t, size_t n, const Rect& r,
-                                 double t_from, double t_to, double horizon,
-                                 uint64_t* bits);
-  static void TrajectoriesIntersectRectWindow(const double* x,
-                                              const double* y,
-                                              const double* vx,
-                                              const double* vy,
-                                              const double* t, size_t n,
-                                              const Rect& r, double t_from,
-                                              double t_to, double horizon,
-                                              uint64_t* bits);
-};
+// position/velocity/timestamp arrays. The segment clip runs per element;
+// the batch win here is the gather.
+void TrajectoriesIntersectRectWindow(const double* x, const double* y,
+                                     const double* vx, const double* vy,
+                                     const double* t, size_t n, const Rect& r,
+                                     double t_from, double t_to,
+                                     double horizon, uint64_t* bits);
 
 }  // namespace stq
 

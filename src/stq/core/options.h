@@ -90,15 +90,6 @@ struct QueryProcessorOptions {
   // "Threading model".
   int worker_threads = 1;
 
-  // Data-oriented batch evaluation (see DESIGN.md, "Batch evaluation"):
-  // the object-match and query-pass hot loops gather candidates into
-  // structure-of-arrays batches and run the vectorized predicate kernels
-  // (core/match_kernels.h) instead of per-object pointer-chasing scalar
-  // tests. The update stream is byte-identical either way; `false` keeps
-  // the pre-batch loops as the ablation baseline and differential
-  // reference.
-  bool batch_evaluation = true;
-
   // Number of rectangular spatial shards the universe is partitioned
   // into. 1 (the default) runs the classic single-grid engine; > 1
   // routes objects and queries to per-shard engines that tick in

@@ -36,46 +36,32 @@ void PredictiveEvaluator::OnQueryRegionChanged(QueryRecord* q,
   // Positives: a trajectory that satisfies the new region but not the old
   // one must pass through A_new - A_old during the window, so its grid
   // footprint crosses a cell overlapping the difference — candidates from
-  // those cells suffice. The admission test runs against the full new
-  // region (the hit instant may lie inside A_new ∩ A_old).
+  // those cells suffice. They are gathered once (deduplicated, in
+  // first-visit order) with their velocity lanes, and the trajectory
+  // kernel tests them against the full new region (the hit instant may
+  // lie inside A_new ∩ A_old).
   FlatSet<ObjectId>& tested = tested_scratch_;
   tested.clear();
   RectDifference(q->region, old_region, &pieces_scratch_);
-  if (state_.options->batch_evaluation) {
-    // Batch path: gather all pieces' candidates (deduplicated, first-visit
-    // order — the same order the legacy loop tests them in) with their
-    // velocity lanes, then run the trajectory-window kernel once against
-    // the full new region.
-    CandidateBatch& b = batch_scratch_;
-    b.clear();
-    for (const Rect& piece : pieces_scratch_) {
-      state_.grid->ForEachObjectCandidate(piece, [&](ObjectId oid) {
-        if (!tested.insert(oid).second) return;
-        const ObjectRecord* o = state_.objects->Find(oid);
-        STQ_DCHECK(o != nullptr);
-        b.GatherWithVelocity(*o);
-      });
-    }
-    const size_t n = b.size();
-    if (n == 0) return;
-    b.bits.resize(MatchBitmapWords(n));
-    MatchKernels::TrajectoriesIntersectRectWindow(
-        b.x.data(), b.y.data(), b.vx.data(), b.vy.data(), b.t.data(), n,
-        q->region, q->t_from, q->t_to, state_.options->prediction_horizon,
-        b.bits.data());
-    EmitBatchPositives(b, state_.objects, q, out);
-    return;
-  }
+  CandidateBatch& b = batch_scratch_;
+  b.clear();
   for (const Rect& piece : pieces_scratch_) {
     state_.grid->ForEachObjectCandidate(piece, [&](ObjectId oid) {
       if (!tested.insert(oid).second) return;
-      ObjectRecord* o = state_.objects->FindMutable(oid);
+      const ObjectRecord* o = state_.objects->Find(oid);
       STQ_DCHECK(o != nullptr);
-      if (Satisfies(*o, *q, *state_.options)) {
-        SetMembership(o, q, true, out);
-      }
+      b.GatherWithVelocity(*o);
     });
   }
+  const size_t n = b.size();
+  if (n == 0) return;
+  b.bits.resize(MatchBitmapWords(n));
+  TrajectoriesIntersectRectWindow(b.x.data(), b.y.data(), b.vx.data(),
+                                  b.vy.data(), b.t.data(), n, q->region,
+                                  q->t_from, q->t_to,
+                                  state_.options->prediction_horizon,
+                                  b.bits.data());
+  EmitBatchPositives(b, state_.objects, q, out);
 }
 
 }  // namespace stq

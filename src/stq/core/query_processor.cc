@@ -36,6 +36,26 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+// Input validation shared by both engines: every public entry point
+// checks its floating-point arguments here, before the sharded forward.
+// NaN would slip through every clamp and comparison downstream (a NaN
+// timestamp is never stale), and an infinite coordinate turns cell
+// arithmetic into NaN.
+bool IsFinite(const Point& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y);
+}
+
+bool IsFinite(const Rect& r) {
+  return std::isfinite(r.min_x) && std::isfinite(r.min_y) &&
+         std::isfinite(r.max_x) && std::isfinite(r.max_y);
+}
+
+Status NotFinite(const char* what) {
+  std::ostringstream os;
+  os << what << " must be finite";
+  return Status::InvalidArgument(os.str());
+}
+
 }  // namespace
 
 QueryProcessor::QueryProcessor(const QueryProcessorOptions& options)
@@ -112,6 +132,8 @@ Point QueryProcessor::ClampLocation(const Point& loc) const {
 
 Status QueryProcessor::UpsertObject(ObjectId id, const Point& loc,
                                     Timestamp t) {
+  if (!IsFinite(loc)) return NotFinite("object location");
+  if (!std::isfinite(t)) return NotFinite("report time");
   if (sharded_ != nullptr) return sharded_->UpsertObject(id, loc, t);
   if (t < LatestKnownReportTime(id)) {
     return Status::InvalidArgument("stale object report");
@@ -125,6 +147,11 @@ Status QueryProcessor::UpsertObject(ObjectId id, const Point& loc,
 Status QueryProcessor::UpsertPredictiveObject(ObjectId id, const Point& loc,
                                               const Velocity& vel,
                                               Timestamp t) {
+  if (!IsFinite(loc)) return NotFinite("object location");
+  if (!std::isfinite(vel.vx) || !std::isfinite(vel.vy)) {
+    return NotFinite("object velocity");
+  }
+  if (!std::isfinite(t)) return NotFinite("report time");
   if (sharded_ != nullptr) {
     return sharded_->UpsertPredictiveObject(id, loc, vel, t);
   }
@@ -193,6 +220,7 @@ Rect QueryProcessor::ClampRegion(const Rect& region) const {
 }
 
 Status QueryProcessor::RegisterRangeQuery(QueryId id, const Rect& region) {
+  if (!IsFinite(region)) return NotFinite("query region");
   if (sharded_ != nullptr) return sharded_->RegisterRangeQuery(id, region);
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
@@ -209,6 +237,7 @@ Status QueryProcessor::RegisterRangeQuery(QueryId id, const Rect& region) {
 }
 
 Status QueryProcessor::MoveRangeQuery(QueryId id, const Rect& region) {
+  if (!IsFinite(region)) return NotFinite("query region");
   if (sharded_ != nullptr) return sharded_->MoveRangeQuery(id, region);
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
@@ -230,6 +259,7 @@ Status QueryProcessor::MoveRangeQuery(QueryId id, const Rect& region) {
 
 Status QueryProcessor::RegisterKnnQuery(QueryId id, const Point& center,
                                         int k) {
+  if (!IsFinite(center)) return NotFinite("query center");
   if (sharded_ != nullptr) return sharded_->RegisterKnnQuery(id, center, k);
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
@@ -243,6 +273,7 @@ Status QueryProcessor::RegisterKnnQuery(QueryId id, const Point& center,
 }
 
 Status QueryProcessor::MoveKnnQuery(QueryId id, const Point& center) {
+  if (!IsFinite(center)) return NotFinite("query center");
   if (sharded_ != nullptr) return sharded_->MoveKnnQuery(id, center);
   Result<QueryKind> kind = EffectiveQueryKind(id);
   if (!kind.ok()) return kind.status();
@@ -259,6 +290,8 @@ Status QueryProcessor::MoveKnnQuery(QueryId id, const Point& center) {
 
 Status QueryProcessor::RegisterCircleQuery(QueryId id, const Point& center,
                                            double radius) {
+  if (!IsFinite(center)) return NotFinite("query center");
+  if (!std::isfinite(radius)) return NotFinite("circle radius");
   if (sharded_ != nullptr) {
     return sharded_->RegisterCircleQuery(id, center, radius);
   }
@@ -280,6 +313,7 @@ Status QueryProcessor::RegisterCircleQuery(QueryId id, const Point& center,
 }
 
 Status QueryProcessor::MoveCircleQuery(QueryId id, const Point& center) {
+  if (!IsFinite(center)) return NotFinite("query center");
   if (sharded_ != nullptr) return sharded_->MoveCircleQuery(id, center);
   Result<QueryKind> kind = EffectiveQueryKind(id);
   if (!kind.ok()) return kind.status();
@@ -310,6 +344,10 @@ Status QueryProcessor::MoveCircleQuery(QueryId id, const Point& center) {
 
 Status QueryProcessor::RegisterPredictiveQuery(QueryId id, const Rect& region,
                                                double t_from, double t_to) {
+  if (!IsFinite(region)) return NotFinite("query region");
+  if (!std::isfinite(t_from) || !std::isfinite(t_to)) {
+    return NotFinite("predictive window");
+  }
   if (sharded_ != nullptr) {
     return sharded_->RegisterPredictiveQuery(id, region, t_from, t_to);
   }
@@ -333,6 +371,7 @@ Status QueryProcessor::RegisterPredictiveQuery(QueryId id, const Rect& region,
 }
 
 Status QueryProcessor::MovePredictiveQuery(QueryId id, const Rect& region) {
+  if (!IsFinite(region)) return NotFinite("query region");
   if (sharded_ != nullptr) return sharded_->MovePredictiveQuery(id, region);
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
@@ -592,7 +631,6 @@ void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
   // Read-only over the grid and both stores: every decision is recorded
   // as a delta intent and replayed later by ApplyMatchDeltas. Other
   // shards run this concurrently against the same state.
-  const bool batch = options_.batch_evaluation;
   std::vector<QueryId>& candidates = out->candidates;
   for (size_t i = begin; i < end; ++i) {
     const ObjectId oid = moved[i];
@@ -626,20 +664,18 @@ void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
     }
 
     // Positive side: candidate queries are those stubbed into the cells
-    // the object's (new) footprint touches. In batch mode a sampled
-    // mover's candidates come from exactly one grid slot, so it is
-    // deferred into the per-slot SoA batches (MatchProbeBatches below);
-    // predictive movers keep the scalar multi-slot footprint probe.
-    if (batch && !o->predictive) {
+    // the object's (new) footprint touches. A sampled mover's candidates
+    // come from exactly one grid slot, so it is deferred into the
+    // per-slot SoA batches (MatchProbeBatches below); a predictive
+    // mover's footprint spans several slots, so it is probed here, one
+    // candidate at a time.
+    if (!o->predictive) {
       out->probes.push_back(
           SlotProbe{grid_->SlotKeyOfPoint(o->loc), oid, o->loc.x, o->loc.y,
                     o->t});
       continue;
     }
-    const Rect probe = o->predictive
-                           ? o->footprint.BoundingBox()
-                           : Rect{o->loc.x, o->loc.y, o->loc.x, o->loc.y};
-    grid_->CollectQueriesInRect(probe, &candidates);
+    grid_->CollectQueriesInRect(o->footprint.BoundingBox(), &candidates);
     for (QueryId qid : candidates) {
       const QueryRecord* q = queries_.Find(qid);
       STQ_DCHECK(q != nullptr) << "grid stub references missing query " << qid;
@@ -671,16 +707,15 @@ void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
       }
     }
   }
-  if (batch) MatchProbeBatches(out);
+  MatchProbeBatches(out);
 }
 
 void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
-  // The deferred positive side of the batch object pass. Per (query,
-  // object) pair this evaluates the exact same predicate the scalar loop
-  // would have (the predictive case reduces to the rect+window kernel
-  // because every sampled object has zero velocity), and delta signs are
-  // decided on the same pre-pass state — so after canonicalization the
-  // tick's update stream is byte-identical to the pre-batch path.
+  // The deferred positive side of the object pass. Per (query, object)
+  // pair this evaluates the exact predicate of the evaluators' Satisfies
+  // (the predictive case reduces to the rect+window kernel because every
+  // sampled object has zero velocity), against the same pre-pass state
+  // the per-candidate loop above reads.
   std::vector<SlotProbe>& probes = out->probes;
   if (probes.empty()) return;
   std::sort(probes.begin(), probes.end(),
@@ -712,31 +747,26 @@ void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
       STQ_DCHECK(q != nullptr) << "grid stub references missing query " << qid;
       switch (q->kind) {
         case QueryKind::kRange:
-          MatchKernels::PointsInRect(b.x.data(), b.y.data(), n, q->region,
-                                     b.bits.data());
+          PointsInRect(b.x.data(), b.y.data(), n, q->region, b.bits.data());
           break;
         case QueryKind::kPredictiveRange:
           // Sampled movers have zero velocity, so the full trajectory
           // test reduces to rect containment AND a non-empty effective
           // window — the vectorizable kernel.
-          MatchKernels::PointsInRectWindow(b.x.data(), b.y.data(), b.t.data(),
-                                           n, q->region, q->t_from, q->t_to,
-                                           options_.prediction_horizon,
-                                           b.bits.data());
+          PointsInRectWindow(b.x.data(), b.y.data(), b.t.data(), n,
+                             q->region, q->t_from, q->t_to,
+                             options_.prediction_horizon, b.bits.data());
           break;
         case QueryKind::kCircleRange:
-          MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n,
-                                       q->circle.center,
-                                       q->circle.radius * q->circle.radius,
-                                       b.bits.data());
-          MatchKernels::PointsInRect(b.x.data(), b.y.data(), n,
-                                     options_.bounds, b.bits2.data());
+          PointsInCircle(b.x.data(), b.y.data(), n, q->circle.center,
+                         q->circle.radius * q->circle.radius, b.bits.data());
+          PointsInRect(b.x.data(), b.y.data(), n, options_.bounds,
+                       b.bits2.data());
           for (size_t w = 0; w < words; ++w) b.bits[w] &= b.bits2[w];
           break;
         case QueryKind::kKnn: {
-          MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n,
-                                       q->circle.center, q->knn_dist2,
-                                       b.bits.data());
+          PointsInCircle(b.x.data(), b.y.data(), n, q->circle.center,
+                         q->knn_dist2, b.bits.data());
           for (size_t w = 0; w < words; ++w) {
             if (b.bits[w] != 0) {
               // One mark suffices: the dirty set deduplicates.
@@ -996,6 +1026,8 @@ Result<std::vector<ObjectId>> QueryProcessor::EvaluateFromScratch(
 
 Result<std::vector<ObjectId>> QueryProcessor::EvaluatePastRangeQuery(
     const Rect& region, Timestamp t) const {
+  if (!IsFinite(region)) return NotFinite("query region");
+  if (!std::isfinite(t)) return NotFinite("query time");
   if (sharded_ != nullptr) {
     return sharded_->EvaluatePastRangeQuery(region, t);
   }

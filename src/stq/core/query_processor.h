@@ -291,7 +291,7 @@ class QueryProcessor {
     // Per-shard candidate scratch for CollectQueriesInRect; lives here so
     // its capacity survives across ticks with the rest of the output.
     std::vector<QueryId> candidates;
-    // Batch-mode scratch: per-slot probe list and the SoA kernel batch.
+    // Per-slot probe list and the SoA kernel batch.
     std::vector<SlotProbe> probes;
     CandidateBatch batch;
 

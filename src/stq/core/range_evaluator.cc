@@ -25,38 +25,22 @@ void RangeEvaluator::OnQueryRegionChanged(QueryRecord* q,
   // Positive updates: only A_new - A_old must be evaluated against the
   // grid; anything inside A_new ∩ A_old was already reported.
   RectDifference(q->region, old_region, &pieces_scratch_);
-  if (state_.options->batch_evaluation) {
-    // Batch path: gather each piece's candidates into SoA arrays, test
-    // the whole batch with one rect kernel, replay the set bits. Gather
-    // order equals the legacy visitation order, so the emitted update
-    // sequence is identical, not merely canonically equivalent.
-    CandidateBatch& b = batch_scratch_;
-    for (const Rect& piece : pieces_scratch_) {
-      b.clear();
-      state_.grid->ForEachObjectCandidate(piece, [&](ObjectId oid) {
-        const ObjectRecord* o = state_.objects->Find(oid);
-        STQ_DCHECK(o != nullptr);
-        b.Gather(*o);
-      });
-      const size_t n = b.size();
-      if (n == 0) continue;
-      b.bits.resize(MatchBitmapWords(n));
-      MatchKernels::PointsInRect(b.x.data(), b.y.data(), n, piece,
-                                 b.bits.data());
-      EmitBatchPositives(b, state_.objects, q, out);
-    }
-    return;
-  }
+  // Per piece: gather the candidates into SoA arrays (candidates are
+  // cell-granular), test the whole batch against the exact piece with one
+  // rect kernel, and replay the set bits in gather order.
+  CandidateBatch& b = batch_scratch_;
   for (const Rect& piece : pieces_scratch_) {
+    b.clear();
     state_.grid->ForEachObjectCandidate(piece, [&](ObjectId oid) {
-      ObjectRecord* o = state_.objects->FindMutable(oid);
+      const ObjectRecord* o = state_.objects->Find(oid);
       STQ_DCHECK(o != nullptr);
-      // Candidates are cell-granular; re-test against the exact piece to
-      // stay inside A_new - A_old, then admit.
-      if (piece.Contains(o->loc)) {
-        SetMembership(o, q, true, out);
-      }
+      b.Gather(*o);
     });
+    const size_t n = b.size();
+    if (n == 0) continue;
+    b.bits.resize(MatchBitmapWords(n));
+    PointsInRect(b.x.data(), b.y.data(), n, piece, b.bits.data());
+    EmitBatchPositives(b, state_.objects, q, out);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "stq/common/check.h"
 #include "stq/geo/geometry.h"
 #include "stq/geo/segment.h"
+#include "stq/grid/cell_resolver.h"
 
 namespace stq {
 
@@ -248,7 +249,6 @@ QueryProcessorOptions ShardedEngine::BuildShardOptions(int s) const {
   so.wire_cost = options_.wire_cost;
   so.worker_threads = 1;  // shards tick in parallel, each serially
   so.num_shards = 1;
-  so.batch_evaluation = options_.batch_evaluation;
   // Per-shard grids adapt independently; boundary moves are the
   // engine's job, so the shard-level flag is inert inside a shard.
   so.adaptive = options_.adaptive;
@@ -332,14 +332,8 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   std::vector<size_t> hist_x(static_cast<size_t>(nx), 0);
   std::vector<size_t> hist_y(static_cast<size_t>(ny), 0);
   for (const auto& [oid, ro] : objects_) {
-    const int cx = std::clamp(
-        static_cast<int>(std::floor((ro.loc.x - uni.min_x) / cell_w)), 0,
-        nx - 1);
-    const int cy = std::clamp(
-        static_cast<int>(std::floor((ro.loc.y - uni.min_y) / cell_h)), 0,
-        ny - 1);
-    ++hist_x[cx];
-    ++hist_y[cy];
+    ++hist_x[ClampedFloor((ro.loc.x - uni.min_x) / cell_w, nx)];
+    ++hist_y[ClampedFloor((ro.loc.y - uni.min_y) / cell_h, ny)];
   }
   std::vector<int> cuts_x = QuantileCuts(hist_x, sx);
   std::vector<int> cuts_y = QuantileCuts(hist_y, sy);
@@ -950,7 +944,21 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
         RoutedObject& ro = it->second;
         e.old_loc = ro.loc;
         e.has_old = true;
-        for (int s : ns) record_upsert(s);
+        for (int s : ns) {
+          // A removal followed by a re-report older than the removed
+          // record coalesced into this upsert. A shard still holding the
+          // old record would reject the older report as stale, so replay
+          // the removal there first; the shard's buffer coalesces the
+          // pair into the same upsert.
+          if (u.t < ro.t &&
+              std::binary_search(ro.shards.begin(), ro.shards.end(), s)) {
+            ShardOp op;
+            op.kind = ShardOp::Kind::kRemoveObject;
+            op.id = u.id;
+            ops[s].push_back(op);
+          }
+          record_upsert(s);
+        }
         // Departed shards: the object hands off; the shard ships its own
         // phase-1 negatives for every answer it participated in there.
         for (int s : ro.shards) {

@@ -24,6 +24,18 @@
 
 namespace stq {
 
+// floor(v) clamped into [0, n - 1]: the slot index of offset v in units of
+// one slot width. The clamp runs in floating point before the int
+// conversion, so a huge or non-finite v saturates (NaN maps to 0) instead
+// of reaching an out-of-range float-to-int cast, which is undefined.
+// Every grid, leaf and shard slab index goes through here.
+inline int ClampedFloor(double v, int n) {
+  const double f = std::floor(v);
+  if (!(f > 0.0)) return 0;
+  if (f >= static_cast<double>(n - 1)) return n - 1;
+  return static_cast<int>(f);
+}
+
 class CellResolver {
  public:
   // Maximum refinement depth any grid supports: 2^6 x 2^6 = 4096 leaves
@@ -48,11 +60,7 @@ class CellResolver {
   // GridIndex::CellOf uses to clamp out-of-bounds locations into the
   // border cells of the grid.
   int LeafOf(const Point& p) const {
-    int lx = static_cast<int>(std::floor((p.x - bounds_.min_x) / leaf_w_));
-    int ly = static_cast<int>(std::floor((p.y - bounds_.min_y) / leaf_h_));
-    lx = std::clamp(lx, 0, side_ - 1);
-    ly = std::clamp(ly, 0, side_ - 1);
-    return LeafIndex(lx, ly);
+    return LeafIndex(ClampX(p.x), ClampY(p.y));
   }
 
   // Bounds of one leaf. High-edge leaves snap to the cell border so the
@@ -81,14 +89,10 @@ class CellResolver {
 
  private:
   int ClampX(double x) const {
-    return std::clamp(
-        static_cast<int>(std::floor((x - bounds_.min_x) / leaf_w_)), 0,
-        side_ - 1);
+    return ClampedFloor((x - bounds_.min_x) / leaf_w_, side_);
   }
   int ClampY(double y) const {
-    return std::clamp(
-        static_cast<int>(std::floor((y - bounds_.min_y) / leaf_h_)), 0,
-        side_ - 1);
+    return ClampedFloor((y - bounds_.min_y) / leaf_h_, side_);
   }
 
   Rect bounds_;

@@ -50,11 +50,8 @@ GridIndex::GridIndex(const Rect& bounds, int cells_x, int cells_y)
 }
 
 CellCoord GridIndex::CellOf(const Point& p) const {
-  int cx = static_cast<int>(std::floor((p.x - bounds_.min_x) / cell_w_));
-  int cy = static_cast<int>(std::floor((p.y - bounds_.min_y) / cell_h_));
-  cx = std::clamp(cx, 0, nx_ - 1);
-  cy = std::clamp(cy, 0, ny_ - 1);
-  return CellCoord{cx, cy};
+  return CellCoord{ClampedFloor((p.x - bounds_.min_x) / cell_w_, nx_),
+                   ClampedFloor((p.y - bounds_.min_y) / cell_h_, ny_)};
 }
 
 Rect GridIndex::CellBounds(const CellCoord& c) const {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "stq/common/check.h"
+#include "stq/grid/cell_resolver.h"
 
 namespace stq {
 
@@ -117,18 +118,12 @@ int ShardMap::HomeOf(const Point& p) const {
   if (has_explicit_boundaries()) {
     return EdgeHome(y_edges_, p.y) * sx_ + EdgeHome(x_edges_, p.x);
   }
-  int ix = 0;
-  int iy = 0;
-  if (shard_w_ > 0.0) {
-    ix = std::clamp(
-        static_cast<int>(std::floor((p.x - universe_.min_x) / shard_w_)), 0,
-        sx_ - 1);
-  }
-  if (shard_h_ > 0.0) {
-    iy = std::clamp(
-        static_cast<int>(std::floor((p.y - universe_.min_y) / shard_h_)), 0,
-        sy_ - 1);
-  }
+  const int ix =
+      shard_w_ > 0.0 ? ClampedFloor((p.x - universe_.min_x) / shard_w_, sx_)
+                     : 0;
+  const int iy =
+      shard_h_ > 0.0 ? ClampedFloor((p.y - universe_.min_y) / shard_h_, sy_)
+                     : 0;
   return iy * sx_ + ix;
 }
 
@@ -142,8 +137,8 @@ bool ShardMap::SlabSpan(double lo, double hi, double min, double max, double w,
     *i1 = n - 1;
     return true;
   }
-  int a = std::clamp(static_cast<int>(std::floor((lo - min) / w)), 0, n - 1);
-  int b = std::clamp(static_cast<int>(std::floor((hi - min) / w)), 0, n - 1);
+  int a = ClampedFloor((lo - min) / w, n);
+  const int b = ClampedFloor((hi - min) / w, n);
   // A lower neighbour also touches when `lo` sits exactly on its upper
   // boundary (closed rects intersect on the shared seam line). The
   // boundary is compared with the same expression shard_rect() uses.

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "stq/common/check.h"
+#include "stq/grid/cell_resolver.h"
 
 namespace stq {
 
@@ -59,10 +60,8 @@ std::vector<JoinPair> GridPartitionJoin(const std::vector<JoinPoint>& points,
     for (size_t i = begin; i < end; ++i) {
       const Point& p = points[i].loc;
       if (!bounds.Contains(p)) continue;  // outside the universe
-      int cx = static_cast<int>(std::floor((p.x - bounds.min_x) / cell_w));
-      int cy = static_cast<int>(std::floor((p.y - bounds.min_y) / cell_h));
-      cx = std::clamp(cx, 0, n - 1);
-      cy = std::clamp(cy, 0, n - 1);
+      const int cx = ClampedFloor((p.x - bounds.min_x) / cell_w, n);
+      const int cy = ClampedFloor((p.y - bounds.min_y) / cell_h, n);
       cell_of[i] = static_cast<size_t>(cy) * n + cx;
     }
   };
@@ -101,14 +100,10 @@ std::vector<JoinPair> GridPartitionJoin(const std::vector<JoinPoint>& points,
       const JoinRect& r = rects[ri];
       const Rect region = r.region.Intersection(bounds);
       if (region.IsEmpty()) continue;
-      int x0 = static_cast<int>(std::floor((region.min_x - bounds.min_x) / cell_w));
-      int y0 = static_cast<int>(std::floor((region.min_y - bounds.min_y) / cell_h));
-      int x1 = static_cast<int>(std::floor((region.max_x - bounds.min_x) / cell_w));
-      int y1 = static_cast<int>(std::floor((region.max_y - bounds.min_y) / cell_h));
-      x0 = std::clamp(x0, 0, n - 1);
-      y0 = std::clamp(y0, 0, n - 1);
-      x1 = std::clamp(x1, 0, n - 1);
-      y1 = std::clamp(y1, 0, n - 1);
+      const int x0 = ClampedFloor((region.min_x - bounds.min_x) / cell_w, n);
+      const int y0 = ClampedFloor((region.min_y - bounds.min_y) / cell_h, n);
+      const int x1 = ClampedFloor((region.max_x - bounds.min_x) / cell_w, n);
+      const int y1 = ClampedFloor((region.max_y - bounds.min_y) / cell_h, n);
       for (int cy = y0; cy <= y1; ++cy) {
         for (int cx = x0; cx <= x1; ++cx) {
           const size_t c = static_cast<size_t>(cy) * n + cx;

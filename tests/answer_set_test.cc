@@ -1,7 +1,8 @@
 // AnswerSet (the compressed answer-set codec): unit tests for the mode
 // machinery plus randomized differential batteries against a std::set
 // oracle, exercising both hysteresis boundaries (small<->blocked,
-// sparse<->dense) under churn.
+// sparse<->dense) under churn, and the engine-level compression gate on
+// dense range answers.
 
 #include <algorithm>
 #include <random>
@@ -10,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "stq/common/random.h"
 #include "stq/core/answer_set.h"
+#include "stq/core/query_processor.h"
 
 namespace stq {
 namespace {
@@ -204,6 +207,47 @@ TEST(AnswerSetTest, BytesResidentTracksDensity) {
   // And both far below the FlatSet-equivalent footprint (~12B/member at
   // load factor; use the conservative 8B/member raw-id floor).
   EXPECT_LT(dense.bytes_resident(), 8192u * 8u / 4u);
+}
+
+// Resident bytes a FlatSet<ObjectId> answer of cardinality `n` would
+// hold: power-of-two slots at <= 3/4 load, 8 id bytes + 1 state byte per
+// slot (common/flat_hash.h).
+size_t FlatSetEquivalentBytes(size_t n) {
+  if (n == 0) return 0;
+  size_t cap = 8;  // FlatTable::kMinCapacity
+  while (n * 4 > cap * 3) cap <<= 1;
+  return cap * (sizeof(ObjectId) + 1);
+}
+
+// The codec's payoff through the engine: 16 near-universe range queries
+// make every answer dense in id space, and the resident answer bytes must
+// be at least 2x below the FlatSet-equivalent footprint. It counts bytes,
+// so it is deterministic and needs no timing.
+TEST(AnswerSetTest, DenseRangeAnswersCompressAtLeastTwofold) {
+  constexpr ObjectId kObjects = 20000;
+  QueryProcessorOptions options;
+  options.grid_cells_per_side = 64;
+  QueryProcessor qp(options);
+  Xorshift128Plus rng(5150);
+  for (ObjectId id = 1; id <= kObjects; ++id) {
+    ASSERT_TRUE(
+        qp.UpsertObject(id, Point{rng.NextDouble(), rng.NextDouble()}, 0.0)
+            .ok());
+  }
+  for (QueryId qid = 1; qid <= 16; ++qid) {
+    ASSERT_TRUE(qp.RegisterRangeQuery(qid, Rect{0.01, 0.01, 0.95, 0.95}).ok());
+  }
+  (void)qp.EvaluateTick(1.0);
+  size_t flatset_bytes = 0;
+  qp.ForEachQueryInfo([&](const QueryProcessor::QueryInfo& q) {
+    EXPECT_GT(q.answer_size, kObjects / 2) << "query " << q.id;
+    flatset_bytes += FlatSetEquivalentBytes(q.answer_size);
+  });
+  const size_t compressed_bytes = qp.AnswerBytesResident();
+  ASSERT_GT(compressed_bytes, 0u);
+  EXPECT_LE(compressed_bytes * 2, flatset_bytes)
+      << "resident " << compressed_bytes << " B vs FlatSet-equivalent "
+      << flatset_bytes << " B";
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Positive cases for the simd-confinement check: raw intrinsics are
-// confined to core/match_kernels_simd.cc; everything else widens via
-// the MatchKernels dispatch table. A mention of _mm256_loadu_pd in a
-// comment must not fire.
+// banned everywhere under src/stq; kernels are portable loops in
+// core/match_kernels.cc. A mention of _mm256_loadu_pd in a comment must
+// not fire.
 
 #include <immintrin.h>
 #include <arm_neon.h>

@@ -1,9 +1,8 @@
-// Differential battery for the batch predicate kernels: every dispatch
-// entry point vs a straight-line oracle built from the geometry types,
-// and — when the SIMD path is live on this machine — the SIMD kernels vs
-// the scalar kernels, bit for bit. Covers sizes that stress vector tails
-// (0, 1, 3, 4, 5, 63, 64, 65, 100, 128, 257), empty rects,
-// boundary-equal coordinates, and the predictive window reduction.
+// Differential battery for the batch predicate kernels: every kernel vs
+// a straight-line oracle built from the geometry types. Covers sizes that
+// cross bitmap word boundaries (0, 1, 3, 4, 5, 63, 64, 65, 100, 128,
+// 257), empty rects, boundary-equal coordinates, and the predictive
+// window reduction.
 
 #include <algorithm>
 #include <random>
@@ -56,27 +55,12 @@ bool BitAt(const std::vector<uint64_t>& bits, size_t i) {
   return (bits[i / 64] >> (i % 64)) & 1;
 }
 
-void ExpectSameBits(const std::vector<uint64_t>& got,
-                    const std::vector<uint64_t>& want, size_t n,
-                    const char* what) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t w = 0; w < got.size(); ++w) {
-    EXPECT_EQ(got[w], want[w]) << what << " word " << w << " n=" << n;
-  }
-}
-
-// RAII pin so a failing test cannot leak ForceScalar(true) into later ones.
-struct ScopedForceScalar {
-  explicit ScopedForceScalar(bool force) { MatchKernels::ForceScalar(force); }
-  ~ScopedForceScalar() { MatchKernels::ForceScalar(false); }
-};
-
-TEST(MatchKernelTest, RectScalarMatchesGeometryOracle) {
+TEST(MatchKernelTest, RectMatchesGeometryOracle) {
   const Rect r{20.0, 25.0, 80.0, 75.0};
   for (size_t n : kSizes) {
     Batch b = RandomBatch(n, 7001 + n, true);
     auto bits = Bits(n);
-    PointsInRectScalar(b.x.data(), b.y.data(), n, r, bits.data());
+    PointsInRect(b.x.data(), b.y.data(), n, r, bits.data());
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(BitAt(bits, i), r.Contains(Point{b.x[i], b.y[i]}))
           << "i=" << i << " n=" << n;
@@ -94,18 +78,18 @@ TEST(MatchKernelTest, EmptyRectMatchesNothing) {
   const size_t n = 129;
   Batch b = RandomBatch(n, 11, true);
   auto bits = Bits(n);
-  MatchKernels::PointsInRect(b.x.data(), b.y.data(), n, empty, bits.data());
+  PointsInRect(b.x.data(), b.y.data(), n, empty, bits.data());
   for (uint64_t w : bits) EXPECT_EQ(w, 0u);
 }
 
-TEST(MatchKernelTest, CircleScalarMatchesGeometryOracle) {
+TEST(MatchKernelTest, CircleMatchesGeometryOracle) {
   const Point c{50.0, 50.0};
   const double radius = 22.5;
   const Circle circle{c, radius};
   for (size_t n : kSizes) {
     Batch b = RandomBatch(n, 9001 + n, true);
     auto bits = Bits(n);
-    PointsInCircleScalar(b.x.data(), b.y.data(), n, c, radius * radius,
+    PointsInCircle(b.x.data(), b.y.data(), n, c, radius * radius,
                          bits.data());
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(BitAt(bits, i), circle.Contains(Point{b.x[i], b.y[i]}))
@@ -122,7 +106,7 @@ TEST(MatchKernelTest, BoundaryEqualCoordinates) {
   const std::vector<double> ys = {10.0, 20.0, 20.0, 15.0, 15.0};
   const size_t n = xs.size();
   auto bits = Bits(n);
-  MatchKernels::PointsInRect(xs.data(), ys.data(), n, r, bits.data());
+  PointsInRect(xs.data(), ys.data(), n, r, bits.data());
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(BitAt(bits, i), r.Contains(Point{xs[i], ys[i]})) << "i=" << i;
   }
@@ -131,7 +115,7 @@ TEST(MatchKernelTest, BoundaryEqualCoordinates) {
   const std::vector<double> cx = {3.0, 3.0, 5.0, 0.0};
   const std::vector<double> cy = {4.0, 4.000001, 0.0, -5.0};
   auto cbits = Bits(cx.size());
-  MatchKernels::PointsInCircle(cx.data(), cy.data(), cx.size(), c, 25.0,
+  PointsInCircle(cx.data(), cy.data(), cx.size(), c, 25.0,
                                cbits.data());
   EXPECT_EQ(cbits[0] & 0xF, 0b1101u);  // the nudged point is outside
 }
@@ -144,7 +128,7 @@ TEST(MatchKernelTest, RectWindowMatchesPredictiveReduction) {
     // Sprinkle window-boundary timestamps: t + horizon == t_from exactly.
     for (size_t i = 0; i < n; i += 7) b.t[i] = t_from - horizon;
     auto bits = Bits(n);
-    PointsInRectWindowScalar(b.x.data(), b.y.data(), b.t.data(), n, r, t_from,
+    PointsInRectWindow(b.x.data(), b.y.data(), b.t.data(), n, r, t_from,
                              t_to, horizon, bits.data());
     for (size_t i = 0; i < n; ++i) {
       const double wf = std::max(t_from, b.t[i]);
@@ -161,7 +145,7 @@ TEST(MatchKernelTest, TrajectoriesMatchScalarClip) {
   for (size_t n : kSizes) {
     Batch b = RandomBatch(n, 17001 + n, false);
     auto bits = Bits(n);
-    MatchKernels::TrajectoriesIntersectRectWindow(
+    TrajectoriesIntersectRectWindow(
         b.x.data(), b.y.data(), b.vx.data(), b.vy.data(), b.t.data(), n, r,
         t_from, t_to, horizon, bits.data());
     for (size_t i = 0; i < n; ++i) {
@@ -175,68 +159,6 @@ TEST(MatchKernelTest, TrajectoriesMatchScalarClip) {
       EXPECT_EQ(BitAt(bits, i), want) << "i=" << i << " n=" << n;
     }
   }
-}
-
-// The headline differential: dispatch (SIMD when available) vs pinned
-// scalar, byte-identical bitmaps over many random batches.
-TEST(MatchKernelTest, SimdMatchesScalarBitForBit) {
-  if (!MatchKernels::SimdAvailable()) {
-    GTEST_SKIP() << "SIMD path not compiled or not supported on this CPU";
-  }
-  const Rect r{12.5, -3.0, 87.5, 103.0};
-  const Point c{48.0, 52.0};
-  const double r2 = 30.0 * 30.0;
-  const double t_from = 4.0, t_to = 44.0, horizon = 6.0;
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    for (size_t n : kSizes) {
-      Batch b = RandomBatch(n, seed * 100000 + n, false);
-      auto simd_bits = Bits(n), scalar_bits = Bits(n);
-
-      MatchKernels::ForceScalar(false);
-      ASSERT_TRUE(MatchKernels::UsingSimd());
-      MatchKernels::PointsInRect(b.x.data(), b.y.data(), n, r,
-                                 simd_bits.data());
-      {
-        ScopedForceScalar pin(true);
-        MatchKernels::PointsInRect(b.x.data(), b.y.data(), n, r,
-                                   scalar_bits.data());
-      }
-      ExpectSameBits(simd_bits, scalar_bits, n, "rect");
-
-      std::fill(simd_bits.begin(), simd_bits.end(), 0);
-      std::fill(scalar_bits.begin(), scalar_bits.end(), 0);
-      MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n, c, r2,
-                                   simd_bits.data());
-      {
-        ScopedForceScalar pin(true);
-        MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n, c, r2,
-                                     scalar_bits.data());
-      }
-      ExpectSameBits(simd_bits, scalar_bits, n, "circle");
-
-      std::fill(simd_bits.begin(), simd_bits.end(), 0);
-      std::fill(scalar_bits.begin(), scalar_bits.end(), 0);
-      MatchKernels::PointsInRectWindow(b.x.data(), b.y.data(), b.t.data(), n,
-                                       r, t_from, t_to, horizon,
-                                       simd_bits.data());
-      {
-        ScopedForceScalar pin(true);
-        MatchKernels::PointsInRectWindow(b.x.data(), b.y.data(), b.t.data(),
-                                         n, r, t_from, t_to, horizon,
-                                         scalar_bits.data());
-      }
-      ExpectSameBits(simd_bits, scalar_bits, n, "window");
-    }
-  }
-}
-
-TEST(MatchKernelTest, ForceScalarRoundTrips) {
-  const bool simd = MatchKernels::SimdAvailable();
-  MatchKernels::ForceScalar(true);
-  EXPECT_FALSE(MatchKernels::UsingSimd());
-  MatchKernels::ForceScalar(false);
-  EXPECT_EQ(MatchKernels::UsingSimd(), simd);
-  EXPECT_EQ(MatchKernels::SimdCompiled() || !simd, true);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // API-level tests of QueryProcessor: registration rules, buffering
 // semantics, tick mechanics, answers, removals, and error handling.
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -482,6 +484,143 @@ TEST(QueryProcessorTest, ManyTicksKeepInvariants) {
     if (x > 0.5) x = 0.05;
   }
 }
+
+// --- Non-finite input at the API edge, on the single grid and 4 shards ---
+
+class NonFiniteInputTest : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  NonFiniteInputTest() : qp_(Options()) {}
+
+  QueryProcessorOptions Options() const {
+    QueryProcessorOptions options = TestOptions();
+    options.num_shards = GetParam();
+    options.record_history = true;
+    return options;
+  }
+
+  // One live query of every kind and one object, so that every Move*
+  // call below would succeed with finite arguments.
+  void SetUp() override {
+    ASSERT_TRUE(qp_.UpsertObject(1, Point{0.5, 0.5}, 1.0).ok());
+    ASSERT_TRUE(qp_.RegisterRangeQuery(1, Rect{0.2, 0.2, 0.6, 0.6}).ok());
+    ASSERT_TRUE(qp_.RegisterKnnQuery(2, Point{0.5, 0.5}, 2).ok());
+    ASSERT_TRUE(qp_.RegisterCircleQuery(3, Point{0.5, 0.5}, 0.1).ok());
+    ASSERT_TRUE(
+        qp_.RegisterPredictiveQuery(4, Rect{0.2, 0.2, 0.6, 0.6}, 0.0, 10.0)
+            .ok());
+    qp_.EvaluateTick(1.0);
+    ASSERT_EQ(qp_.pending_reports(), 0u);
+  }
+
+  // Every rejection is an InvalidArgument naming the non-finite value,
+  // and nothing reaches the report buffer.
+  void ExpectRejected(const Status& s) {
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.ToString().find("must be finite"), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(qp_.pending_reports(), 0u);
+  }
+
+  QueryProcessor qp_;
+};
+
+TEST_P(NonFiniteInputTest, UpsertObject) {
+  for (double bad : {kNaN, kInf, -kInf}) {
+    ExpectRejected(qp_.UpsertObject(1, Point{bad, 0.5}, 2.0));
+    ExpectRejected(qp_.UpsertObject(1, Point{0.5, bad}, 2.0));
+    ExpectRejected(qp_.UpsertObject(7, Point{0.5, 0.5}, bad));
+  }
+}
+
+TEST_P(NonFiniteInputTest, UpsertPredictiveObject) {
+  for (double bad : {kNaN, kInf, -kInf}) {
+    ExpectRejected(qp_.UpsertPredictiveObject(1, Point{bad, 0.5},
+                                              Velocity{0.01, 0.0}, 2.0));
+    ExpectRejected(qp_.UpsertPredictiveObject(1, Point{0.5, 0.5},
+                                              Velocity{bad, 0.0}, 2.0));
+    ExpectRejected(qp_.UpsertPredictiveObject(1, Point{0.5, 0.5},
+                                              Velocity{0.0, bad}, 2.0));
+    ExpectRejected(qp_.UpsertPredictiveObject(7, Point{0.5, 0.5},
+                                              Velocity{0.01, 0.0}, bad));
+  }
+}
+
+TEST_P(NonFiniteInputTest, RangeQueries) {
+  for (double bad : {kNaN, kInf, -kInf}) {
+    ExpectRejected(qp_.RegisterRangeQuery(9, Rect{bad, 0.2, 0.6, 0.6}));
+    ExpectRejected(qp_.RegisterRangeQuery(9, Rect{0.2, 0.2, 0.6, bad}));
+    ExpectRejected(qp_.MoveRangeQuery(1, Rect{0.2, bad, 0.6, 0.6}));
+    ExpectRejected(qp_.MoveRangeQuery(1, Rect{0.2, 0.2, bad, 0.6}));
+  }
+  // Infinite corners that would otherwise clamp to the whole universe.
+  ExpectRejected(qp_.RegisterRangeQuery(9, Rect{-kInf, -kInf, kInf, kInf}));
+}
+
+TEST_P(NonFiniteInputTest, KnnQueries) {
+  for (double bad : {kNaN, kInf, -kInf}) {
+    ExpectRejected(qp_.RegisterKnnQuery(9, Point{bad, 0.5}, 3));
+    ExpectRejected(qp_.MoveKnnQuery(2, Point{0.5, bad}));
+  }
+}
+
+TEST_P(NonFiniteInputTest, CircleQueries) {
+  for (double bad : {kNaN, kInf, -kInf}) {
+    ExpectRejected(qp_.RegisterCircleQuery(9, Point{bad, 0.5}, 0.1));
+    ExpectRejected(qp_.RegisterCircleQuery(9, Point{0.5, 0.5}, bad));
+    ExpectRejected(qp_.MoveCircleQuery(3, Point{0.5, bad}));
+  }
+}
+
+TEST_P(NonFiniteInputTest, PredictiveQueries) {
+  for (double bad : {kNaN, kInf, -kInf}) {
+    ExpectRejected(qp_.RegisterPredictiveQuery(9, Rect{bad, 0.2, 0.6, 0.6},
+                                               0.0, 10.0));
+    ExpectRejected(qp_.RegisterPredictiveQuery(9, Rect{0.2, 0.2, 0.6, 0.6},
+                                               bad, 10.0));
+    ExpectRejected(qp_.RegisterPredictiveQuery(9, Rect{0.2, 0.2, 0.6, 0.6},
+                                               0.0, bad));
+    ExpectRejected(qp_.MovePredictiveQuery(4, Rect{0.2, 0.2, bad, 0.6}));
+  }
+}
+
+TEST_P(NonFiniteInputTest, PastRangeQuery) {
+  for (double bad : {kNaN, kInf, -kInf}) {
+    const Result<std::vector<ObjectId>> by_region =
+        qp_.EvaluatePastRangeQuery(Rect{bad, 0.0, 1.0, 1.0}, 1.0);
+    ASSERT_FALSE(by_region.ok());
+    ExpectRejected(by_region.status());
+    const Result<std::vector<ObjectId>> by_time =
+        qp_.EvaluatePastRangeQuery(Rect{0.0, 0.0, 1.0, 1.0}, bad);
+    ASSERT_FALSE(by_time.ok());
+    ExpectRejected(by_time.status());
+  }
+}
+
+// A finite but huge velocity puts the predictive footprint ~1e301 past
+// the universe: every cell, leaf and shard index computed from it must
+// saturate, and the answers must still match the from-scratch oracle.
+TEST_P(NonFiniteInputTest, HugeVelocityTicksCleanly) {
+  ASSERT_TRUE(qp_.UpsertPredictiveObject(1, Point{0.5, 0.5},
+                                         Velocity{1e300, -1e300}, 2.0)
+                  .ok());
+  ASSERT_TRUE(qp_.UpsertPredictiveObject(5, Point{0.3, 0.3},
+                                         Velocity{-1e300, 1e300}, 2.0)
+                  .ok());
+  ASSERT_TRUE(qp_.UpsertObject(6, Point{0.4, 0.4}, 2.0).ok());
+  qp_.EvaluateTick(2.0);
+  EXPECT_TRUE(qp_.CheckInvariants().ok());
+  for (QueryId qid = 1; qid <= 4; ++qid) {
+    const Result<std::vector<ObjectId>> answer = qp_.CurrentAnswer(qid);
+    const Result<std::vector<ObjectId>> scratch = qp_.EvaluateFromScratch(qid);
+    ASSERT_TRUE(answer.ok() && scratch.ok()) << "query " << qid;
+    EXPECT_EQ(*answer, *scratch) << "query " << qid;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, NonFiniteInputTest, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace stq

@@ -261,13 +261,15 @@ TEST(ShardedDiffTest, SeamOscillationStreamsAreShardCountInvariant) {
 
 // Stream identity implies answer identity, but pin the query-facing API
 // directly too: after a run, every query's committed answer (and every
-// unknown id's error) matches between the engines.
+// unknown id's error) matches between the engines, and the sharded
+// engine publishes its resident answer bytes in TickStats.
 TEST(ShardedDiffTest, CurrentAnswersMatchSingleGrid) {
   const uint64_t seed = 90210;
   QueryProcessor single(ShardOptions(1, 1));
   QueryProcessor sharded(ShardOptions(4, 4));
   (void)DriveMixedWorkload(&single, seed, /*num_ticks=*/8);
   (void)DriveMixedWorkload(&sharded, seed, /*num_ticks=*/8);
+  size_t answered = 0;
   for (QueryId qid = 0; qid <= 26; ++qid) {
     const Result<std::vector<ObjectId>> a = single.CurrentAnswer(qid);
     const Result<std::vector<ObjectId>> b = sharded.CurrentAnswer(qid);
@@ -278,10 +280,15 @@ TEST(ShardedDiffTest, CurrentAnswersMatchSingleGrid) {
           sharded.EvaluateFromScratch(qid);
       ASSERT_TRUE(scratch.ok());
       EXPECT_EQ(*b, *scratch) << "query " << qid;
+      answered += a->size();
     } else {
       EXPECT_EQ(a.status().ToString(), b.status().ToString());
     }
   }
+  ASSERT_GT(answered, 0u);
+  const TickResult r = sharded.EvaluateTick(100.0);
+  EXPECT_GT(r.stats.bytes_resident, 0u);
+  EXPECT_EQ(r.stats.bytes_resident, sharded.AnswerBytesResident());
 }
 
 TEST(ShardedDiffTest, NetworkWorkloadStreamsAreShardCountInvariant) {
@@ -323,6 +330,38 @@ TEST(ShardedDiffTest, NetworkWorkloadStreamsAreShardCountInvariant) {
       EXPECT_EQ(serial[i], sharded[i])
           << "tick " << i << " diverged at " << shards << " shards";
     }
+  }
+}
+
+// A removal followed, in the same tick, by a re-report older than the
+// removed record is accepted (the removal wiped the object's history) and
+// coalesces into one upsert. Every shard engine must agree, including
+// the shards that still hold the removed record.
+TEST(ShardedDiffTest, RemoveThenOlderReportInOneTick) {
+  auto run = [](int shards) {
+    QueryProcessor qp(ShardOptions(shards, /*workers=*/1));
+    std::vector<std::string> streams;
+    EXPECT_TRUE(qp.RegisterRangeQuery(1, Rect{0.0, 0.0, 0.6, 0.6}).ok());
+    EXPECT_TRUE(qp.RegisterCircleQuery(2, Point{0.5, 0.5}, 0.3).ok());
+    EXPECT_TRUE(qp.UpsertObject(1, Point{0.55, 0.45}, 5.0).ok());
+    EXPECT_TRUE(qp.UpsertPredictiveObject(2, Point{0.45, 0.55},
+                                          Velocity{0.01, -0.01}, 5.0)
+                    .ok());
+    streams.push_back(StreamBytes(qp.EvaluateTick(5.0)));
+    EXPECT_TRUE(qp.RemoveObject(1).ok());
+    EXPECT_TRUE(qp.UpsertObject(1, Point{0.52, 0.48}, 1.0).ok());
+    EXPECT_TRUE(qp.RemoveObject(2).ok());
+    EXPECT_TRUE(qp.UpsertPredictiveObject(2, Point{0.9, 0.9},
+                                          Velocity{-0.01, 0.0}, 2.0)
+                    .ok());
+    streams.push_back(StreamBytes(qp.EvaluateTick(6.0)));
+    EXPECT_TRUE(qp.CheckInvariants().ok());
+    return streams;
+  };
+  const std::vector<std::string> single = run(1);
+  EXPECT_FALSE(single.back().empty());
+  for (int shards : {2, 4, 9}) {
+    EXPECT_EQ(run(shards), single) << shards << " shards";
   }
 }
 

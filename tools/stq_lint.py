@@ -50,12 +50,12 @@ Checks
                     go unnoticed and the convergence proof breaks.
                     Rule: direct-apply.
   simd-confinement  Raw SIMD intrinsics (x86 <immintrin.h>/_mm*, NEON
-                    <arm_neon.h>/vector types) compile on one ISA only
-                    and sidestep the scalar-oracle differential tests,
-                    so they are confined to core/match_kernels_simd.cc;
-                    everything else goes through the MatchKernels
-                    dispatch table. Rules: intrinsics-header,
-                    intrinsics.
+                    <arm_neon.h>/vector types) are banned under src/stq:
+                    they compile on one ISA only, and hand-written
+                    AVX2/NEON kernels measured no faster than the
+                    portable scalar kernels in core/match_kernels.cc,
+                    which the compiler may auto-vectorize. Rules:
+                    intrinsics-header, intrinsics.
   include-hygiene   Banned headers under src/stq: <iostream> (static-init
                     fiasco; use common/logging.h), <random> (use
                     common/random.h), <regex>, <filesystem> (bypasses
@@ -291,22 +291,20 @@ RULES = [
         "sequenced-envelope path; deliver through ClientSession",
         exclude=("core/session.cc",),
     ),
-    # --- simd-confinement (raw intrinsics live in the kernel TU only) -----
+    # --- simd-confinement (no raw intrinsics anywhere in src/stq) ---------
     Rule(
         "simd-confinement", "intrinsics-header", ALL_SRC,
         r"#\s*include\s*<(immintrin\.h|x86intrin\.h|emmintrin\.h"
         r"|xmmintrin\.h|smmintrin\.h|arm_neon\.h)>",
-        "SIMD intrinsics header outside core/match_kernels_simd.cc; add a "
-        "kernel entry point to MatchKernels (core/match_kernels.h) instead",
-        exclude=("core/match_kernels_simd.cc",),
+        "SIMD intrinsics header under src/stq; write the kernel as a "
+        "portable loop in core/match_kernels.cc instead",
     ),
     Rule(
         "simd-confinement", "intrinsics", ALL_SRC,
         r"(?<![\w])_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[di]?\b"
         r"|\b(?:float|int|uint)(?:32|64)x[24]_t\b",
-        "raw SIMD intrinsic outside core/match_kernels_simd.cc; the scalar "
-        "kernels are the oracle, widen via the MatchKernels dispatch table",
-        exclude=("core/match_kernels_simd.cc",),
+        "raw SIMD intrinsic under src/stq; write the kernel as a portable "
+        "loop in core/match_kernels.cc instead",
     ),
     # --- include-hygiene --------------------------------------------------
     Rule(
