@@ -14,10 +14,11 @@
 //
 // Rows sweep the engine configuration over the same pre-rolled workload:
 // uniform baseline, adaptive single-shard, and adaptive sharded with
-// online rebalance. Each row is the median of kTrials in-process runs.
-// The stream CRC must agree across every row and trial — the
-// differential battery (ctest -L skew) pins byte-identity at unit scale,
-// this bench re-checks it at benchmark scale while measuring the payoff.
+// online rebalance. Each row is the median of stq_bench::kTrials
+// in-process runs. The stream CRC must agree across every row and trial
+// — the differential battery (ctest -L skew) pins byte-identity at unit
+// scale, this bench re-checks it at benchmark scale while measuring the
+// payoff.
 //
 // --assert-speedup is the CI perf-smoke gate: adaptive's median must
 // beat the uniform grid's median by >= kSpeedupFloor ticks/sec on this
@@ -29,6 +30,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -126,11 +128,6 @@ RunResult RunWorkload(const stq::Workload& workload,
   return result;
 }
 
-// One table row: the median of kTrials in-process runs by timed seconds,
-// with the spread across them. Every trial must reproduce the same
-// stream CRC.
-constexpr int kTrials = 3;
-
 // The --assert-speedup floor. At 20000 objects x 2000 queries x 12
 // periods, 11 Release runs on a 4-thread Xeon container (gcc 12) gave
 // adaptive/uniform medians of 1.34-1.79x (median 1.67x); the floor sits
@@ -138,36 +135,8 @@ constexpr int kTrials = 3;
 // refinement to parity still does.
 constexpr double kSpeedupFloor = 1.15;
 
-struct RowResult {
-  RunResult median;
-  double min_seconds = 0.0;
-  double max_seconds = 0.0;
-  bool trials_agree = true;
-};
-
-RowResult RunTrials(const stq::Workload& workload,
-                    const EngineConfig& config) {
-  std::vector<RunResult> trials;
-  for (int i = 0; i < kTrials; ++i) {
-    trials.push_back(RunWorkload(workload, config));
-  }
-  std::sort(trials.begin(), trials.end(),
-            [](const RunResult& a, const RunResult& b) {
-              return a.seconds < b.seconds;
-            });
-  RowResult row;
-  row.median = trials[kTrials / 2];
-  row.min_seconds = trials.front().seconds;
-  row.max_seconds = trials.back().seconds;
-  for (const RunResult& t : trials) {
-    row.trials_agree &= t.stream_crc == row.median.stream_crc;
-  }
-  return row;
-}
-
-double TicksPerSec(size_t ticks, double seconds) {
-  return seconds > 0 ? static_cast<double>(ticks) / seconds : 0.0;
-}
+using RowResult = stq_bench::TrialRow<RunResult>;
+using stq_bench::TicksPerSec;
 
 // Prints one row (ticks/sec as median [min-max] over the trials) and
 // records it in the JSON report.
@@ -337,7 +306,7 @@ int main(int argc, char** argv) {
   report.Param("zipf_s", 1.5);
   report.Param("grid_cells_per_side", 8);
   report.Param("seed", 707);
-  report.Param("trials", kTrials);
+  report.Param("trials", stq_bench::kTrials);
 
   std::printf("Ablation: adaptive partitioning on a Zipf-hotspot world\n");
   std::printf(
@@ -362,8 +331,13 @@ int main(int argc, char** argv) {
   double adaptive_speedup = 0.0;
   uint32_t uniform_crc = 0;
   bool crc_mismatch = false;
-  for (const EngineConfig& config : kConfigs) {
-    const RowResult row = RunTrials(workload, config);
+  const std::vector<RowResult> rows =
+      stq_bench::RunTrials(std::size(kConfigs), [&](size_t i) {
+        return RunWorkload(workload, kConfigs[i]);
+      });
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const EngineConfig& config = kConfigs[i];
+    const RowResult& row = rows[i];
     const RunResult& r = row.median;
     crc_mismatch |= !row.trials_agree;
     if (std::strcmp(config.name, "uniform") == 0) {
@@ -398,8 +372,13 @@ int main(int argc, char** argv) {
   double static_seconds = 0.0;
   uint32_t static_crc = 0;
   size_t hotcold_rebalances = 0;
-  for (const EngineConfig& config : kHotColdConfigs) {
-    const RowResult row = RunTrials(hotcold, config);
+  const std::vector<RowResult> hotcold_rows =
+      stq_bench::RunTrials(std::size(kHotColdConfigs), [&](size_t i) {
+        return RunWorkload(hotcold, kHotColdConfigs[i]);
+      });
+  for (size_t i = 0; i < hotcold_rows.size(); ++i) {
+    const EngineConfig& config = kHotColdConfigs[i];
+    const RowResult& row = hotcold_rows[i];
     const RunResult& r = row.median;
     if (std::strcmp(config.name, "hotcold-static") == 0) {
       static_seconds = r.seconds;

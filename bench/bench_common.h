@@ -9,6 +9,7 @@
 #ifndef STQ_BENCH_BENCH_COMMON_H_
 #define STQ_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -88,6 +89,60 @@ inline size_t CompleteAnswerBytes(const stq::QueryProcessor& qp) {
 }
 
 inline double ToKb(size_t bytes) { return static_cast<double>(bytes) / 1024.0; }
+
+// Repeated in-process trials of a table's rows. A single timed run is
+// at the mercy of host noise (a first run after an idle spell, or a
+// neighbour's burst, can halve it), so rows report — and gates judge —
+// the median trial, with the spread across all of them.
+constexpr int kTrials = 3;
+
+// One row's trials: the median trial by `seconds`, the fastest and
+// slowest seconds, and whether every trial reproduced the median's
+// stream CRC.
+template <typename Run>
+struct TrialRow {
+  Run median;
+  double min_seconds = 0.0;
+  double max_seconds = 0.0;
+  bool trials_agree = true;
+};
+
+// Runs kTrials rounds over a table of `rows` rows, calling
+// `run_once(row)` once per row per round; its result type needs
+// `seconds` (the timed wall time) and `stream_crc` members. Rounds
+// interleave the rows, so a noisy spell of the host lands on one trial
+// of every row instead of on all trials of one row, and ratios between
+// row medians (speedups) stay stable.
+template <typename RunOnce>
+auto RunTrials(size_t rows, const RunOnce& run_once)
+    -> std::vector<TrialRow<decltype(run_once(size_t{0}))>> {
+  using Run = decltype(run_once(size_t{0}));
+  std::vector<std::vector<Run>> trials(rows);
+  for (int t = 0; t < kTrials; ++t) {
+    for (size_t r = 0; r < rows; ++r) trials[r].push_back(run_once(r));
+  }
+  std::vector<TrialRow<Run>> table;
+  for (std::vector<Run>& runs : trials) {
+    std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+      return a.seconds < b.seconds;
+    });
+    TrialRow<Run> row;
+    row.median = runs[kTrials / 2];
+    row.min_seconds = runs.front().seconds;
+    row.max_seconds = runs.back().seconds;
+    for (const Run& t : runs) {
+      row.trials_agree &= t.stream_crc == row.median.stream_crc;
+    }
+    table.push_back(row);
+  }
+  return table;
+}
+
+// Ticks per second of `ticks` timed ticks over `seconds` (0 when
+// nothing was timed).
+inline double TicksPerSec(size_t ticks, double seconds) {
+  return seconds > 0 ? static_cast<double>(ticks) / seconds : 0.0;
+}
 
 // Machine-readable results: every benchmark binary accepts
 // `--json <path>` (or `--json=<path>`) and mirrors its printed series

@@ -98,31 +98,13 @@ struct QueryProcessorOptions {
   // single-grid stream — see DESIGN.md, "Sharded execution".
   int num_shards = 1;
 
-  // Internal (set by the sharded engine on its per-shard processors):
-  // clamp object locations into this rect instead of `bounds`. Shard
-  // processors own a sub-rect of the universe but must store exact
-  // universe-clamped positions for objects whose footprint merely
-  // crosses the shard. Empty means "use bounds".
-  Rect location_clamp_bounds = Rect::Empty();
-
-  // Internal (set by the sharded engine on its per-shard processors):
-  // explicit anisotropic grid resolution. A shard covering a non-square
-  // 1/sx x 1/sy slice of the universe needs cells_per_side/sx columns by
-  // cells_per_side/sy rows to keep the global cell geometry — a square
-  // per-shard grid would inflate per-cell candidate density and with it
-  // the total matching work. 0 (the default) derives a square
-  // grid_cells_per_side x grid_cells_per_side grid as before.
-  int grid_cells_x = 0;
-  int grid_cells_y = 0;
-
   // Adaptive cell refinement + shard rebalancing; disabled by default.
   AdaptiveGridOptions adaptive;
 
   bool Validate() const {
     return !bounds.IsEmpty() && grid_cells_per_side >= 1 &&
            prediction_horizon > 0.0 && worker_threads >= 0 &&
-           num_shards >= 1 && grid_cells_x >= 0 && grid_cells_y >= 0 &&
-           (grid_cells_x == 0) == (grid_cells_y == 0) && adaptive.Validate();
+           num_shards >= 1 && adaptive.Validate();
   }
 };
 

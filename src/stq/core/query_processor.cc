@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -18,29 +17,10 @@ namespace stq {
 
 namespace {
 
-// Accumulates the enclosing scope's wall time into a TickStats field.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double* sink)
-      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    *sink_ += std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-// Input validation shared by both engines: every public entry point
-// checks its floating-point arguments here, before the sharded forward.
-// NaN would slip through every clamp and comparison downstream (a NaN
-// timestamp is never stale), and an infinite coordinate turns cell
-// arithmetic into NaN.
+// Input validation: every public entry point checks its floating-point
+// arguments here. NaN would slip through every clamp and comparison
+// downstream (a NaN timestamp is never stale), and an infinite
+// coordinate turns cell arithmetic into NaN.
 bool IsFinite(const Point& p) {
   return std::isfinite(p.x) && std::isfinite(p.y);
 }
@@ -56,29 +36,34 @@ Status NotFinite(const char* what) {
   return Status::InvalidArgument(os.str());
 }
 
+Status UnknownQuery(QueryId id) {
+  std::ostringstream os;
+  os << "query " << id << " unknown";
+  return Status::NotFound(os.str());
+}
+
 }  // namespace
 
 QueryProcessor::QueryProcessor(const QueryProcessorOptions& options)
+    : QueryProcessor(options, options.grid_cells_per_side,
+                     options.grid_cells_per_side) {}
+
+QueryProcessor::QueryProcessor(const QueryProcessorOptions& options,
+                               int cells_x, int cells_y)
     : options_(options),
-      // In sharded mode the router (ShardedEngine) owns the history, the
-      // pool and all spatial state; the facade keeps only a 1-cell
-      // placeholder grid so the evaluator members stay valid.
-      history_(options.record_history && options.num_shards <= 1
-                   ? std::make_unique<HistoryStore>()
-                   : nullptr),
+      history_(options.record_history ? std::make_unique<HistoryStore>()
+                                      : nullptr),
+      // In sharded mode the engine owns the pool and all spatial state;
+      // the front keeps only a 1-cell placeholder grid so the evaluator
+      // members stay valid.
       pool_(options.num_shards <= 1 &&
                     ThreadPool::ResolveWorkers(options.worker_threads) > 1
                 ? std::make_unique<ThreadPool>(
                       ThreadPool::ResolveWorkers(options.worker_threads))
                 : nullptr),
-      grid_(std::make_unique<GridIndex>(
-          options_.bounds,
-          options.num_shards > 1 ? 1
-          : options_.grid_cells_x > 0 ? options_.grid_cells_x
-                                      : options_.grid_cells_per_side,
-          options.num_shards > 1 ? 1
-          : options_.grid_cells_y > 0 ? options_.grid_cells_y
-                                      : options_.grid_cells_per_side)),
+      grid_(std::make_unique<GridIndex>(options_.bounds,
+                                        options.num_shards > 1 ? 1 : cells_x,
+                                        options.num_shards > 1 ? 1 : cells_y)),
       range_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
       knn_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
       predictive_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
@@ -98,14 +83,30 @@ EngineState QueryProcessor::state() {
 }
 
 // ---------------------------------------------------------------------------
-// Report ingestion
+// Report ingestion: the one front for both engines
 // ---------------------------------------------------------------------------
+
+std::optional<Timestamp> QueryProcessor::AppliedReportTime(
+    ObjectId id) const {
+  if (sharded_ != nullptr) return sharded_->AppliedReportTime(id);
+  if (const ObjectRecord* o = objects_.Find(id); o != nullptr) return o->t;
+  return std::nullopt;
+}
+
+std::optional<QueryProcessor::CommittedQuery>
+QueryProcessor::FindCommittedQuery(QueryId id) const {
+  if (sharded_ != nullptr) return sharded_->FindCommittedQuery(id);
+  if (const QueryRecord* q = queries_.Find(id); q != nullptr) {
+    return CommittedQuery{q->kind, q->circle.radius};
+  }
+  return std::nullopt;
+}
 
 double QueryProcessor::LatestKnownReportTime(ObjectId id) const {
   // A pending removal wipes the history; a pending upsert supersedes the
-  // store (its timestamp is what the store will hold after the next
-  // tick, and it may be older than the store's when it follows a
-  // removal). The buffer holds at most one of the two per id.
+  // applied record (its timestamp is what the engine will hold after the
+  // next tick, and it may be older than the applied one when it follows
+  // a removal). The buffer holds at most one of the two per id.
   if (buffer_.HasPendingRemove(id)) {
     return -std::numeric_limits<double>::infinity();
   }
@@ -113,28 +114,19 @@ double QueryProcessor::LatestKnownReportTime(ObjectId id) const {
       u != nullptr) {
     return u->t;
   }
-  if (const ObjectRecord* o = objects_.Find(id); o != nullptr) {
-    return o->t;
-  }
-  return -std::numeric_limits<double>::infinity();
+  return AppliedReportTime(id).value_or(
+      -std::numeric_limits<double>::infinity());
 }
 
 Point QueryProcessor::ClampLocation(const Point& loc) const {
-  // A per-shard engine owns a sub-rect of the universe but must store
-  // exact universe-clamped positions (location_clamp_bounds); everyone
-  // else clamps into their own bounds.
-  const Rect& b = options_.location_clamp_bounds.IsEmpty()
-                      ? options_.bounds
-                      : options_.location_clamp_bounds;
-  return Point{std::clamp(loc.x, b.min_x, b.max_x),
-               std::clamp(loc.y, b.min_y, b.max_y)};
+  return Point{std::clamp(loc.x, options_.bounds.min_x, options_.bounds.max_x),
+               std::clamp(loc.y, options_.bounds.min_y, options_.bounds.max_y)};
 }
 
 Status QueryProcessor::UpsertObject(ObjectId id, const Point& loc,
                                     Timestamp t) {
   if (!IsFinite(loc)) return NotFinite("object location");
   if (!std::isfinite(t)) return NotFinite("report time");
-  if (sharded_ != nullptr) return sharded_->UpsertObject(id, loc, t);
   if (t < LatestKnownReportTime(id)) {
     return Status::InvalidArgument("stale object report");
   }
@@ -152,9 +144,6 @@ Status QueryProcessor::UpsertPredictiveObject(ObjectId id, const Point& loc,
     return NotFinite("object velocity");
   }
   if (!std::isfinite(t)) return NotFinite("report time");
-  if (sharded_ != nullptr) {
-    return sharded_->UpsertPredictiveObject(id, loc, vel, t);
-  }
   if (t < LatestKnownReportTime(id)) {
     return Status::InvalidArgument("stale object report");
   }
@@ -164,21 +153,19 @@ Status QueryProcessor::UpsertPredictiveObject(ObjectId id, const Point& loc,
 }
 
 Status QueryProcessor::RemoveObject(ObjectId id) {
-  if (sharded_ != nullptr) return sharded_->RemoveObject(id);
-  const bool exists_in_store = objects_.Contains(id);
-  if (!exists_in_store && !buffer_.HasPendingUpsert(id)) {
+  const bool applied = AppliedReportTime(id).has_value();
+  if (!applied && !buffer_.HasPendingUpsert(id)) {
     std::ostringstream os;
     os << "object " << id << " unknown";
     return Status::NotFound(os.str());
   }
-  buffer_.AddObjectRemove(id, exists_in_store);
+  buffer_.AddObjectRemove(id, applied);
   return Status::OK();
 }
 
 Status QueryProcessor::ValidateQueryRegistration(QueryId id) const {
-  const bool live_in_store =
-      queries_.Contains(id) && !buffer_.HasPendingQueryUnregister(id);
-  if (live_in_store || buffer_.HasPendingQueryRegister(id)) {
+  const bool live = HasQuery(id) && !buffer_.HasPendingQueryUnregister(id);
+  if (live || buffer_.HasPendingQueryRegister(id)) {
     std::ostringstream os;
     os << "query " << id << " already registered";
     return Status::AlreadyExists(os.str());
@@ -204,15 +191,13 @@ Result<QueryKind> QueryProcessor::EffectiveQueryKind(QueryId id) const {
         return Status::NotFound(os.str());
       }
       case QueryChangeKind::kMove:
-        break;  // fall through to the store's kind
+        break;  // fall through to the committed kind
     }
   }
-  if (const QueryRecord* q = queries_.Find(id); q != nullptr) {
+  if (const std::optional<CommittedQuery> q = FindCommittedQuery(id)) {
     return q->kind;
   }
-  std::ostringstream os;
-  os << "query " << id << " unknown";
-  return Status::NotFound(os.str());
+  return UnknownQuery(id);
 }
 
 Rect QueryProcessor::ClampRegion(const Rect& region) const {
@@ -221,7 +206,6 @@ Rect QueryProcessor::ClampRegion(const Rect& region) const {
 
 Status QueryProcessor::RegisterRangeQuery(QueryId id, const Rect& region) {
   if (!IsFinite(region)) return NotFinite("query region");
-  if (sharded_ != nullptr) return sharded_->RegisterRangeQuery(id, region);
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -232,13 +216,12 @@ Status QueryProcessor::RegisterRangeQuery(QueryId id, const Rect& region) {
   c.kind = QueryChangeKind::kRegisterRange;
   c.id = id;
   c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, HasQuery(id));
   return Status::OK();
 }
 
 Status QueryProcessor::MoveRangeQuery(QueryId id, const Rect& region) {
   if (!IsFinite(region)) return NotFinite("query region");
-  if (sharded_ != nullptr) return sharded_->MoveRangeQuery(id, region);
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -253,14 +236,13 @@ Status QueryProcessor::MoveRangeQuery(QueryId id, const Rect& region) {
   c.kind = QueryChangeKind::kMove;
   c.id = id;
   c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, HasQuery(id));
   return Status::OK();
 }
 
 Status QueryProcessor::RegisterKnnQuery(QueryId id, const Point& center,
                                         int k) {
   if (!IsFinite(center)) return NotFinite("query center");
-  if (sharded_ != nullptr) return sharded_->RegisterKnnQuery(id, center, k);
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
   PendingQueryChange c;
@@ -268,13 +250,12 @@ Status QueryProcessor::RegisterKnnQuery(QueryId id, const Point& center,
   c.id = id;
   c.center = center;
   c.k = k;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, HasQuery(id));
   return Status::OK();
 }
 
 Status QueryProcessor::MoveKnnQuery(QueryId id, const Point& center) {
   if (!IsFinite(center)) return NotFinite("query center");
-  if (sharded_ != nullptr) return sharded_->MoveKnnQuery(id, center);
   Result<QueryKind> kind = EffectiveQueryKind(id);
   if (!kind.ok()) return kind.status();
   if (*kind != QueryKind::kKnn) {
@@ -284,7 +265,7 @@ Status QueryProcessor::MoveKnnQuery(QueryId id, const Point& center) {
   c.kind = QueryChangeKind::kMove;
   c.id = id;
   c.center = center;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, HasQuery(id));
   return Status::OK();
 }
 
@@ -292,9 +273,6 @@ Status QueryProcessor::RegisterCircleQuery(QueryId id, const Point& center,
                                            double radius) {
   if (!IsFinite(center)) return NotFinite("query center");
   if (!std::isfinite(radius)) return NotFinite("circle radius");
-  if (sharded_ != nullptr) {
-    return sharded_->RegisterCircleQuery(id, center, radius);
-  }
   if (radius <= 0.0) {
     return Status::InvalidArgument("circle radius must be positive");
   }
@@ -308,27 +286,26 @@ Status QueryProcessor::RegisterCircleQuery(QueryId id, const Point& center,
   c.id = id;
   c.center = center;
   c.radius = radius;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, HasQuery(id));
   return Status::OK();
 }
 
 Status QueryProcessor::MoveCircleQuery(QueryId id, const Point& center) {
   if (!IsFinite(center)) return NotFinite("query center");
-  if (sharded_ != nullptr) return sharded_->MoveCircleQuery(id, center);
   Result<QueryKind> kind = EffectiveQueryKind(id);
   if (!kind.ok()) return kind.status();
   if (*kind != QueryKind::kCircleRange) {
     return Status::InvalidArgument("query is not a circular range query");
   }
   // The disk must keep overlapping the space; its radius is stored either
-  // in the record or the pending registration.
+  // in the committed query or the pending registration.
   double radius = 0.0;
   if (const PendingQueryChange* pending = buffer_.FindPendingQueryChange(id);
       pending != nullptr &&
       pending->kind == QueryChangeKind::kRegisterCircle) {
     radius = pending->radius;
-  } else if (const QueryRecord* q = queries_.Find(id); q != nullptr) {
-    radius = q->circle.radius;
+  } else if (const std::optional<CommittedQuery> q = FindCommittedQuery(id)) {
+    radius = q->radius;
   }
   if (ClampRegion(Circle{center, radius}.BoundingBox()).IsEmpty()) {
     return Status::InvalidArgument(
@@ -338,7 +315,7 @@ Status QueryProcessor::MoveCircleQuery(QueryId id, const Point& center) {
   c.kind = QueryChangeKind::kMove;
   c.id = id;
   c.center = center;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, HasQuery(id));
   return Status::OK();
 }
 
@@ -347,9 +324,6 @@ Status QueryProcessor::RegisterPredictiveQuery(QueryId id, const Rect& region,
   if (!IsFinite(region)) return NotFinite("query region");
   if (!std::isfinite(t_from) || !std::isfinite(t_to)) {
     return NotFinite("predictive window");
-  }
-  if (sharded_ != nullptr) {
-    return sharded_->RegisterPredictiveQuery(id, region, t_from, t_to);
   }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
@@ -366,13 +340,12 @@ Status QueryProcessor::RegisterPredictiveQuery(QueryId id, const Rect& region,
   c.region = clamped;
   c.t_from = t_from;
   c.t_to = t_to;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, HasQuery(id));
   return Status::OK();
 }
 
 Status QueryProcessor::MovePredictiveQuery(QueryId id, const Rect& region) {
   if (!IsFinite(region)) return NotFinite("query region");
-  if (sharded_ != nullptr) return sharded_->MovePredictiveQuery(id, region);
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -387,23 +360,18 @@ Status QueryProcessor::MovePredictiveQuery(QueryId id, const Rect& region) {
   c.kind = QueryChangeKind::kMove;
   c.id = id;
   c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, HasQuery(id));
   return Status::OK();
 }
 
 Status QueryProcessor::UnregisterQuery(QueryId id) {
-  if (sharded_ != nullptr) return sharded_->UnregisterQuery(id);
-  const bool live_in_store =
-      queries_.Contains(id) && !buffer_.HasPendingQueryUnregister(id);
-  if (!live_in_store && !buffer_.HasPendingQueryRegister(id)) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
+  const bool committed = HasQuery(id);
+  const bool live = committed && !buffer_.HasPendingQueryUnregister(id);
+  if (!live && !buffer_.HasPendingQueryRegister(id)) return UnknownQuery(id);
   PendingQueryChange c;
   c.kind = QueryChangeKind::kUnregister;
   c.id = id;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, committed);
   return Status::OK();
 }
 
@@ -412,11 +380,9 @@ Status QueryProcessor::UnregisterQuery(QueryId id) {
 // ---------------------------------------------------------------------------
 
 void QueryProcessor::ApplyObjectRemovals(const std::vector<ObjectId>& removals,
-                                         Timestamp now,
                                          std::vector<Update>* out,
                                          TickStats* stats) {
   for (ObjectId id : removals) {
-    if (history_ != nullptr) history_->RecordRemoval(id, now);
     ObjectRecord* o = objects_.FindMutable(id);
     STQ_CHECK(o != nullptr) << "buffered removal of unknown object " << id;
     // Ship negatives for every answer the object participated in (copied:
@@ -443,7 +409,6 @@ void QueryProcessor::ApplyObjectUpserts(
     const std::vector<PendingObjectUpsert>& upserts,
     std::vector<ObjectId>* moved, TickStats* stats) {
   for (const PendingObjectUpsert& u : upserts) {
-    if (history_ != nullptr) history_->RecordReport(u.id, u.loc, u.t);
     ObjectRecord* o = objects_.FindMutable(u.id);
     if (o == nullptr) {
       ObjectRecord rec;
@@ -831,16 +796,6 @@ void QueryProcessor::RunObjectPass(const std::vector<ObjectId>& moved,
 }
 
 TickResult QueryProcessor::EvaluateTick(Timestamp now) {
-  TickResult result;
-  EvaluateTickInto(now, &result);
-  return result;
-}
-
-void QueryProcessor::EvaluateTickInto(Timestamp now, TickResult* result) {
-  if (sharded_ != nullptr) {
-    sharded_->EvaluateTickInto(now, result);
-    return;
-  }
   if (now < last_tick_time_) {
     STQ_LOG(Warning) << "EvaluateTick time went backwards (" << now << " < "
                      << last_tick_time_ << ")";
@@ -849,35 +804,67 @@ void QueryProcessor::EvaluateTickInto(Timestamp now, TickResult* result) {
 
   const uint64_t allocs_before = AllocCount();
 
-  result->time = now;
-  result->updates.clear();
-  result->stats = TickStats{};
+  TickResult result;
+  result.time = now;
+  TickStats* stats = &result.stats;
+  std::vector<Update>* out = &result.updates;
 
-  // The tick's working vectors live in scratch_ and keep their capacity
-  // across ticks; Drain clears them before refilling.
-  std::vector<PendingObjectUpsert>& upserts = scratch_.upserts;
-  std::vector<ObjectId>& removals = scratch_.removals;
-  std::vector<PendingQueryChange>& query_changes = scratch_.query_changes;
+  // The batch lives in scratch_ and keeps its capacity across ticks;
+  // Drain clears it before refilling.
+  ReportBatch& batch = scratch_.batch;
   {
-    // Report routing (drain + deterministic ordering) — the single-grid
-    // counterpart of the sharded router's route phase, so the ablation
-    // rows stay comparable across engine modes.
-    PhaseTimer route_timer(&result->stats.shard_route_seconds);
-    buffer_.Drain(&upserts, &removals, &query_changes);
+    // Drain + deterministic ordering: the front's share of the route
+    // phase (the sharded router adds its routing decisions to the same
+    // timer), so the ablation rows stay comparable across engine modes.
+    PhaseTimer route_timer(&stats->shard_route_seconds);
+    buffer_.Drain(&batch.upserts, &batch.removals, &batch.query_changes);
 
     // Deterministic processing order independent of hash-map iteration.
-    std::sort(upserts.begin(), upserts.end(),
+    std::sort(batch.upserts.begin(), batch.upserts.end(),
               [](const PendingObjectUpsert& a, const PendingObjectUpsert& b) {
                 return a.id < b.id;
               });
-    std::sort(removals.begin(), removals.end());
-    std::sort(query_changes.begin(), query_changes.end(),
+    std::sort(batch.removals.begin(), batch.removals.end());
+    std::sort(batch.query_changes.begin(), batch.query_changes.end(),
               [](const PendingQueryChange& a, const PendingQueryChange& b) {
                 return a.id < b.id;
               });
   }
+  if (history_ != nullptr) {
+    for (ObjectId id : batch.removals) history_->RecordRemoval(id, now);
+    for (const PendingObjectUpsert& u : batch.upserts) {
+      history_->RecordReport(u.id, u.loc, u.t);
+    }
+  }
 
-  std::vector<Update>* out = &result->updates;
+  if (sharded_ != nullptr) {
+    sharded_->TickBatch(batch, now, out, stats);
+  } else {
+    TickBatch(batch, now, out, stats);
+  }
+
+  // Seal the tick.
+  {
+    // Canonicalization is the single-grid analogue of the sharded merge.
+    PhaseTimer merge_timer(&stats->shard_merge_seconds);
+    CanonicalizeUpdates(out);
+  }
+  for (const Update& u : *out) {
+    if (u.sign == UpdateSign::kPositive) {
+      ++stats->positive_updates;
+    } else {
+      ++stats->negative_updates;
+    }
+  }
+  stats->bytes_resident = AnswerBytesResident();
+  // The counter is global (all threads), so under the sharded engine this
+  // already covers the per-shard ticks.
+  stats->heap_allocations = AllocCount() - allocs_before;
+  return result;
+}
+
+void QueryProcessor::TickBatch(const ReportBatch& batch, Timestamp now,
+                               std::vector<Update>* out, TickStats* stats) {
   std::vector<ObjectId>& moved = scratch_.moved;
   std::vector<std::pair<QueryId, Rect>>& changed_rects = scratch_.changed_rects;
   std::vector<QueryId>& moved_circles = scratch_.moved_circles;
@@ -885,80 +872,65 @@ void QueryProcessor::EvaluateTickInto(Timestamp now, TickResult* result) {
   changed_rects.clear();
   moved_circles.clear();
 
-  const auto tick_start = std::chrono::steady_clock::now();
-  // Phase 1: removals leave the engine (negatives for their memberships).
-  {
-    PhaseTimer timer(&result->stats.removals_seconds);
-    ApplyObjectRemovals(removals, now, out, &result->stats);
-  }
-  // Phase 2: bring every object's state (store + grid) up to date.
-  {
-    PhaseTimer timer(&result->stats.upserts_seconds);
-    ApplyObjectUpserts(upserts, &moved, &result->stats);
-  }
-  // Phase 3: bring every query's state up to date.
-  {
-    PhaseTimer timer(&result->stats.query_changes_seconds);
-    ApplyQueryChanges(query_changes, now, &changed_rects, &moved_circles,
-                      &result->stats);
-  }
-  // Phase 4: incremental evaluation of changed range/predictive/circle
-  // regions.
-  {
-    PhaseTimer timer(&result->stats.query_pass_seconds);
-    RunQueryPass(changed_rects, moved_circles, out);
-  }
-  // Phase 5: incremental evaluation of moved/new objects (parallel match,
-  // serial apply; times the halves into object_match/apply_seconds).
-  RunObjectPass(moved, out, &result->stats);
-  // Phase 6: re-evaluate the k-NN queries dirtied by phases 1-5
-  // (parallel searches, serial answer application).
-  {
-    std::vector<KnnEvaluator::DirtyAnswer> knn_answers;
-    {
-      PhaseTimer timer(&result->stats.knn_search_seconds);
-      knn_answers = knn_.SearchDirty(pool_.get());
-    }
-    PhaseTimer timer(&result->stats.knn_apply_seconds);
-    result->stats.knn_reevaluations = knn_.ApplyDirty(knn_answers, out);
-  }
   // The single grid is one "shard": wall == busy == max over phases 1-6.
   // Populated in every mode so the ablation's single-grid baseline row is
   // directly comparable to the sharded rows.
-  const double tick_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    tick_start)
-          .count();
-  result->stats.shards_ticked = 1;
-  result->stats.shard_tick_wall_seconds += tick_wall;
-  result->stats.shard_tick_busy_seconds += tick_wall;
-  result->stats.shard_tick_max_seconds =
-      std::max(result->stats.shard_tick_max_seconds, tick_wall);
-
+  double tick_wall = 0.0;
   {
-    // Canonicalization is the single-grid analogue of the sharded merge.
-    PhaseTimer merge_timer(&result->stats.shard_merge_seconds);
-    CanonicalizeUpdates(out);
-  }
-  for (const Update& u : *out) {
-    if (u.sign == UpdateSign::kPositive) {
-      ++result->stats.positive_updates;
-    } else {
-      ++result->stats.negative_updates;
+    PhaseTimer wall_timer(&tick_wall);
+    // Phase 1: removals leave the engine (negatives for their
+    // memberships).
+    {
+      PhaseTimer timer(&stats->removals_seconds);
+      ApplyObjectRemovals(batch.removals, out, stats);
     }
+    // Phase 2: bring every object's state (store + grid) up to date.
+    {
+      PhaseTimer timer(&stats->upserts_seconds);
+      ApplyObjectUpserts(batch.upserts, &moved, stats);
+    }
+    // Phase 3: bring every query's state up to date.
+    {
+      PhaseTimer timer(&stats->query_changes_seconds);
+      ApplyQueryChanges(batch.query_changes, now, &changed_rects,
+                        &moved_circles, stats);
+    }
+    // Phase 4: incremental evaluation of changed range/predictive/circle
+    // regions.
+    {
+      PhaseTimer timer(&stats->query_pass_seconds);
+      RunQueryPass(changed_rects, moved_circles, out);
+    }
+    // Phase 5: incremental evaluation of moved/new objects (parallel
+    // match, serial apply; times the halves into
+    // object_match/apply_seconds).
+    RunObjectPass(moved, out, stats);
+    // Phase 6: re-evaluate the k-NN queries dirtied by phases 1-5
+    // (parallel searches, serial answer application).
+    std::vector<KnnEvaluator::DirtyAnswer> knn_answers;
+    {
+      PhaseTimer timer(&stats->knn_search_seconds);
+      knn_answers = knn_.SearchDirty(pool_.get());
+    }
+    PhaseTimer timer(&stats->knn_apply_seconds);
+    stats->knn_reevaluations = knn_.ApplyDirty(knn_answers, out);
   }
+  stats->shards_ticked = 1;
+  stats->shard_tick_wall_seconds += tick_wall;
+  stats->shard_tick_busy_seconds += tick_wall;
+  stats->shard_tick_max_seconds =
+      std::max(stats->shard_tick_max_seconds, tick_wall);
+
   // Phase 7 (adaptive mode only): resolution maintenance on the
-  // now-committed state. Pure index re-bucketing — the stream above is
-  // already sealed, and the next tick's exact-geometry matching is
+  // now-committed state. Pure index re-bucketing — it never touches the
+  // update stream, and the next tick's exact-geometry matching is
   // resolution-independent, so this is invisible in every future stream.
   if (refiner_ != nullptr) {
-    PhaseTimer timer(&result->stats.adapt_seconds);
+    PhaseTimer timer(&stats->adapt_seconds);
     const GridRefiner::StepStats adapt = refiner_->Tick(objects_, queries_);
-    result->stats.cells_split = adapt.splits;
-    result->stats.cells_merged = adapt.merges;
+    stats->cells_split = adapt.splits;
+    stats->cells_merged = adapt.merges;
   }
-  result->stats.bytes_resident = AnswerBytesResident();
-  result->stats.heap_allocations = AllocCount() - allocs_before;
 }
 
 // ---------------------------------------------------------------------------
@@ -967,25 +939,16 @@ void QueryProcessor::EvaluateTickInto(Timestamp now, TickResult* result) {
 
 Result<std::vector<ObjectId>> QueryProcessor::CurrentAnswer(
     QueryId id) const {
+  if (!HasQuery(id)) return UnknownQuery(id);
   if (sharded_ != nullptr) return sharded_->CurrentAnswer(id);
-  const QueryRecord* q = queries_.Find(id);
-  if (q == nullptr) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
-  return q->SortedAnswer();
+  return queries_.Find(id)->SortedAnswer();
 }
 
 Result<std::vector<ObjectId>> QueryProcessor::EvaluateFromScratch(
     QueryId id) const {
+  if (!HasQuery(id)) return UnknownQuery(id);
   if (sharded_ != nullptr) return sharded_->EvaluateFromScratch(id);
   const QueryRecord* q = queries_.Find(id);
-  if (q == nullptr) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
   std::vector<ObjectId> answer;
   switch (q->kind) {
     case QueryKind::kRange:
@@ -1028,9 +991,6 @@ Result<std::vector<ObjectId>> QueryProcessor::EvaluatePastRangeQuery(
     const Rect& region, Timestamp t) const {
   if (!IsFinite(region)) return NotFinite("query region");
   if (!std::isfinite(t)) return NotFinite("query time");
-  if (sharded_ != nullptr) {
-    return sharded_->EvaluatePastRangeQuery(region, t);
-  }
   if (history_ == nullptr) {
     return Status::FailedPrecondition(
         "past queries require QueryProcessorOptions::record_history");
@@ -1052,12 +1012,11 @@ size_t QueryProcessor::num_queries() const {
 }
 
 size_t QueryProcessor::pending_reports() const {
-  if (sharded_ != nullptr) return sharded_->pending_reports();
   return buffer_.pending_object_ops() + buffer_.pending_query_ops();
 }
 
 bool QueryProcessor::HasQuery(QueryId id) const {
-  return sharded_ != nullptr ? sharded_->HasQuery(id) : queries_.Contains(id);
+  return FindCommittedQuery(id).has_value();
 }
 
 const ObjectStore& QueryProcessor::object_store() const {
@@ -1095,10 +1054,6 @@ GridIndex& QueryProcessor::grid_for_testing() {
   return *grid_;
 }
 
-const HistoryStore* QueryProcessor::history() const {
-  return sharded_ != nullptr ? sharded_->history() : history_.get();
-}
-
 bool QueryProcessor::GetAnswerSet(QueryId id, AnswerSet* out) const {
   if (sharded_ != nullptr) return sharded_->GetAnswerSet(id, out);
   out->clear();
@@ -1118,9 +1073,6 @@ size_t QueryProcessor::AnswerBytesResident() const {
 
 bool QueryProcessor::AppendAnswerIds(QueryId id,
                                      std::vector<ObjectId>* out) const {
-  STQ_CHECK(sharded_ == nullptr)
-      << "AppendAnswerIds() is single-grid only; the router owns the "
-         "sharded committed answers";
   const QueryRecord* q = queries_.Find(id);
   if (q == nullptr) return false;
   for (ObjectId oid : q->answer) out->push_back(oid);

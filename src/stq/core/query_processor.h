@@ -31,6 +31,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "stq/common/flat_hash.h"
@@ -53,10 +54,13 @@ class ShardedEngine;
 
 class QueryProcessor {
  public:
-  // When options.num_shards > 1 the processor becomes a facade over a
-  // ShardedEngine (see sharded_server.h): the same API, the same
-  // byte-identical update stream, but evaluation is partitioned across
-  // per-shard grids that tick in parallel.
+  // The processor is the one ingestion front for both engines: every
+  // report is validated, clamped and buffered here once, and each tick
+  // drains, orders and seals the batch here. With options.num_shards > 1
+  // the batch is evaluated by a ShardedEngine (see sharded_server.h)
+  // instead of the single grid: the same byte-identical update stream,
+  // but evaluation is partitioned across per-shard grids that tick in
+  // parallel.
   explicit QueryProcessor(const QueryProcessorOptions& options = {});
   ~QueryProcessor();
 
@@ -115,14 +119,10 @@ class QueryProcessor {
 
   // Applies all buffered reports and returns the incremental update
   // stream, canonically ordered. `now` should be non-decreasing across
-  // calls.
+  // calls. This is the front's tick: it drains and id-orders the buffer,
+  // records history, hands the batch to the engine, and seals the result
+  // (canonical order, sign counts, bytes_resident, heap_allocations).
   TickResult EvaluateTick(Timestamp now);
-
-  // As EvaluateTick, but writes into `result`, whose buffers are cleared
-  // (capacity kept) and refilled. The sharded engine ticks every shard
-  // through this entry point so the per-shard update vectors stop
-  // allocating at steady state.
-  void EvaluateTickInto(Timestamp now, TickResult* result);
 
   // --- Introspection --------------------------------------------------------
 
@@ -189,12 +189,6 @@ class QueryProcessor {
   // TickStats::bytes_resident at the end of every tick.
   size_t AnswerBytesResident() const;
 
-  // Appends the committed answer ids to `out` (unsorted, not cleared;
-  // no allocation beyond `out` growth); false when the query is unknown.
-  // Single-grid only — the sharded router captures departing shard
-  // answers through this without a per-query temporary vector.
-  bool AppendAnswerIds(QueryId id, std::vector<ObjectId>* out) const;
-
   // Exact k nearest neighbours of `center` over the current object
   // population, sorted by (distance^2, id). Empty when k < 1.
   std::vector<KnnEvaluator::Neighbor> SearchKnn(const Point& center,
@@ -226,7 +220,7 @@ class QueryProcessor {
 
   // The retained report history, or nullptr when history recording is
   // off.
-  const HistoryStore* history() const;
+  const HistoryStore* history() const { return history_.get(); }
 
   // Snapshot range query as of past instant `t` (sample-and-hold over the
   // recorded reports). Only reports already applied by a tick are
@@ -235,12 +229,45 @@ class QueryProcessor {
                                                        Timestamp t) const;
 
  private:
+  friend class ShardedEngine;
+
+  // A shard of a ShardedEngine: a single grid over `options.bounds` (the
+  // shard's rect) with an explicit cells_x x cells_y cell array, so a
+  // shard covering a non-square slice of the universe keeps the global
+  // cell geometry. Shards take routed batches through TickBatch; their
+  // own ingestion entry points stay unused.
+  QueryProcessor(const QueryProcessorOptions& options, int cells_x,
+                 int cells_y);
+
   EngineState state();
+
+  // The single-grid batch tick: applies one drained, id-ordered batch
+  // (phases 1-6 plus adaptive refinement), appending the raw update
+  // stream to `out` and the phase timings to `stats`. The front calls it
+  // in single-grid mode; the sharded router calls it on every shard with
+  // that shard's routed sub-batch.
+  void TickBatch(const ReportBatch& batch, Timestamp now,
+                 std::vector<Update>* out, TickStats* stats);
+
+  // Appends the committed answer ids to `out` (unsorted, not cleared;
+  // no allocation beyond `out` growth); false when the query is unknown.
+  // The sharded router captures departing shard answers through this
+  // without a per-query temporary vector.
+  bool AppendAnswerIds(QueryId id, std::vector<ObjectId>* out) const;
+
+  // The committed state the front validates reports against, answered
+  // by whichever engine holds it: an object's applied report time, and a
+  // query's kind and circle radius. nullopt when the id is unknown.
+  struct CommittedQuery {
+    QueryKind kind = QueryKind::kRange;
+    double radius = 0.0;  // kCircleRange only
+  };
+  std::optional<Timestamp> AppliedReportTime(ObjectId id) const;
+  std::optional<CommittedQuery> FindCommittedQuery(QueryId id) const;
 
   // Tick phases. Each appends to `out` and updates `stats`.
   void ApplyObjectRemovals(const std::vector<ObjectId>& removals,
-                           Timestamp now, std::vector<Update>* out,
-                           TickStats* stats);
+                           std::vector<Update>* out, TickStats* stats);
   void ApplyObjectUpserts(const std::vector<PendingObjectUpsert>& upserts,
                           std::vector<ObjectId>* moved, TickStats* stats);
   // Fully removes a query record: scrubs member QLists, drops grid stubs,
@@ -318,9 +345,7 @@ class QueryProcessor {
   // see DESIGN.md, "Memory layout & allocation discipline"). Cleared at
   // the start of each use — no state carries across ticks.
   struct TickScratch {
-    std::vector<PendingObjectUpsert> upserts;
-    std::vector<ObjectId> removals;
-    std::vector<PendingQueryChange> query_changes;
+    ReportBatch batch;  // the front's drained buffer
     std::vector<ObjectId> moved;
     std::vector<std::pair<QueryId, Rect>> changed_rects;
     std::vector<QueryId> moved_circles;
@@ -328,8 +353,8 @@ class QueryProcessor {
     std::vector<MatchOutput> match_outputs;
   };
 
-  // Highest report timestamp known (stored or pending) for the object, or
-  // -infinity when unknown.
+  // Highest report timestamp known (applied or pending) for the object,
+  // or -infinity when unknown.
   double LatestKnownReportTime(ObjectId id) const;
 
   // Query regions are clamped to the space bounds (see RegisterRangeQuery).
@@ -361,8 +386,9 @@ class QueryProcessor {
   // tick (stream-invisible; see core/grid_refiner.h).
   std::unique_ptr<GridRefiner> refiner_;
   Timestamp last_tick_time_ = 0.0;
-  // Non-null iff options.num_shards > 1; every public entry point then
-  // delegates here and the single-grid members above stay empty.
+  // Non-null iff options.num_shards > 1. The front (buffer_, history_)
+  // stays here; evaluation and the committed state live in the sharded
+  // engine, and the single-grid members above stay empty.
   std::unique_ptr<ShardedEngine> sharded_;
 };
 

@@ -1,13 +1,11 @@
 #include "stq/core/sharded_server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
 #include <utility>
 
-#include "stq/common/alloc_stats.h"
 #include "stq/common/check.h"
 #include "stq/geo/geometry.h"
 #include "stq/geo/segment.h"
@@ -18,24 +16,6 @@ namespace stq {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Accumulates the enclosing scope's wall time into a TickStats field.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double* sink)
-      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    *sink_ += std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 // Exact squared distance from `p` to the closed rect `r`; 0 when inside.
 // Uses the same subtract-then-square arithmetic as SquaredDistance so an
@@ -110,36 +90,6 @@ void MergeStreams(const std::vector<MergeEntry>& a,
   out->insert(out->end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
 }
 
-// One buffered operation for a shard, recorded during the serial route
-// phase and applied at the start of the shard's parallel tick task.
-// Per-shard op order reproduces the old serial dispatch order exactly
-// (removals, then upserts interleaved with their re-route removals, then
-// query changes), so each shard's ingestion buffer coalesces — and its
-// tick behaves — identically to the serial-route engine.
-struct ShardOp {
-  enum class Kind : uint8_t {
-    kRemoveObject,
-    kUpsert,  // sampled or predictive, per `predictive`
-    kRegisterRange,
-    kRegisterPredictive,
-    kRegisterCircle,
-    kMoveRange,
-    kMovePredictive,
-    kMoveCircle,
-    kCapture,  // snapshot the committed answer of a departing query
-    kUnregister,
-  };
-  Kind kind = Kind::kRemoveObject;
-  bool predictive = false;
-  uint64_t id = 0;  // ObjectId or QueryId
-  Point loc;        // kUpsert location / circle center
-  Velocity vel;     // kUpsert (predictive)
-  double t = 0.0;   // kUpsert report time
-  Rect region;      // rectangle register/move ops
-  double radius = 0.0;              // kRegisterCircle
-  double t_from = 0.0, t_to = 0.0;  // kRegisterPredictive
-};
-
 // An (object-driven) k-NN dirtiness event: the locations an object report
 // touched this tick. Mirrors the single-grid engine, where a removal
 // re-tests the old location and an upsert both the old membership and the
@@ -166,32 +116,27 @@ struct Reset {
 
 }  // namespace
 
-// Tick-scoped working buffers, reused across EvaluateTick calls. Every
-// container is cleared (never shrunk) before use, so the steady-state
-// tick allocates only when a buffer outgrows its previous high-water
-// mark. Defined here because MergeEntry/Reset/KnnEvent are local to this
-// translation unit.
+// Tick-scoped working buffers, reused across ticks. Every container is
+// cleared (never shrunk) before use, so the steady-state tick allocates
+// only when a buffer outgrows its previous high-water mark. Defined here
+// because MergeEntry/Reset/KnnEvent are local to this translation unit.
 struct ShardedEngine::TickScratch {
-  std::vector<PendingObjectUpsert> upserts;
-  std::vector<ObjectId> removals;
-  std::vector<PendingQueryChange> query_changes;
-  std::vector<char> touched;
+  // Indexed by shard id. The route phase fills the sub-batches and the
+  // departing-query captures; the shard's task only reads them.
+  std::vector<ReportBatch> batches;
+  std::vector<std::vector<QueryId>> captures;
   // Indexed by shard id; written only by the worker that claimed the
-  // shard during the parallel phase (ops are read-only there).
-  std::vector<std::vector<ShardOp>> ops;
+  // shard during the parallel phase.
   std::vector<std::vector<MergeEntry>> shard_entries;  // leaf delta streams
-  std::vector<std::vector<ObjectId>> capture_ids;      // kCapture scratch
+  std::vector<std::vector<ObjectId>> capture_ids;      // capture scratch
   std::vector<TickResult> shard_results;
   // Reduction tree: ping-pong pointer lists over the leaves plus one
   // reused buffer per internal tree node.
   std::vector<std::vector<MergeEntry>> tree_bufs;
   std::vector<std::vector<MergeEntry>*> tree_cur;
   std::vector<std::vector<MergeEntry>*> tree_next;
-  std::vector<Reset> resets;
+  std::vector<Reset> resets;            // ascending qid (change order)
   std::vector<ObjectId> reset_members;  // flattened Reset snapshots
-  FlatSet<QueryId> reset_qids;
-  FlatSet<ObjectId> global_removals;
-  std::vector<FlatSet<ObjectId>> removed_from;
   std::vector<KnnEvent> events;
   std::vector<int> ticked;
   std::vector<double> shard_walls;  // indexed by position in `ticked`
@@ -204,8 +149,6 @@ ShardedEngine::~ShardedEngine() = default;
 ShardedEngine::ShardedEngine(const QueryProcessorOptions& options)
     : options_(options),
       map_(options.bounds, options.num_shards),
-      history_(options.record_history ? std::make_unique<HistoryStore>()
-                                      : nullptr),
       pool_(ThreadPool::ResolveWorkers(options.worker_threads) > 1
                 ? std::make_unique<ThreadPool>(
                       ThreadPool::ResolveWorkers(options.worker_threads))
@@ -213,27 +156,25 @@ ShardedEngine::ShardedEngine(const QueryProcessorOptions& options)
   STQ_CHECK(options_.Validate()) << "invalid QueryProcessorOptions";
   STQ_CHECK(options_.num_shards >= 2)
       << "ShardedEngine requires num_shards >= 2";
-  for (int s = 0; s < map_.num_shards(); ++s) {
-    shards_.push_back(std::make_unique<QueryProcessor>(BuildShardOptions(s)));
-  }
+  for (int s = 0; s < map_.num_shards(); ++s) shards_.push_back(MakeShard(s));
   scratch_ = std::make_unique<TickScratch>();
 }
 
-QueryProcessorOptions ShardedEngine::BuildShardOptions(int s) const {
-  QueryProcessorOptions so;
-  so.bounds = map_.shard_rect(s);
+std::unique_ptr<QueryProcessor> ShardedEngine::MakeShard(int s) const {
+  int cells_x = 0;
+  int cells_y = 0;
   if (x_cell_cuts_.empty()) {
     // Uniform map. Keep the global grid CELL GEOMETRY constant: a shard
     // covers 1/sx x 1/sy of the universe, so it gets the matching
     // 1/sx x 1/sy slice of the cell array — the same cell width and
-    // height as the single grid. (The old rule divided one square
-    // per-shard resolution by max(sx, sy); on non-square layouts that
-    // made per-shard cells up to max/min times larger in area, inflating
-    // per-cell candidate density — and total matching work — precisely
-    // as shards were added.)
-    so.grid_cells_x =
+    // height as the single grid. (A square per-shard resolution divided
+    // by max(sx, sy) would make per-shard cells on non-square layouts up
+    // to max/min times larger in area, inflating per-cell candidate
+    // density — and total matching work — precisely as shards are
+    // added.)
+    cells_x =
         std::max(1, (options_.grid_cells_per_side + map_.sx() - 1) / map_.sx());
-    so.grid_cells_y =
+    cells_y =
         std::max(1, (options_.grid_cells_per_side + map_.sy() - 1) / map_.sy());
   } else {
     // Rebalanced map: slab boundaries sit on global-grid cell edges, so
@@ -241,22 +182,23 @@ QueryProcessorOptions ShardedEngine::BuildShardOptions(int s) const {
     // spans — cell geometry again matches the single grid.
     const int ix = s % map_.sx();
     const int iy = s / map_.sx();
-    so.grid_cells_x = std::max(1, x_cell_cuts_[ix + 1] - x_cell_cuts_[ix]);
-    so.grid_cells_y = std::max(1, y_cell_cuts_[iy + 1] - y_cell_cuts_[iy]);
+    cells_x = std::max(1, x_cell_cuts_[ix + 1] - x_cell_cuts_[ix]);
+    cells_y = std::max(1, y_cell_cuts_[iy + 1] - y_cell_cuts_[iy]);
   }
+  // The shard's rect plus the engine's horizon, wire cost and adaptive
+  // settings; otherwise the defaults — one serial grid without history
+  // (history lives at the front; shards tick in parallel, each serially).
+  QueryProcessorOptions so;
+  so.bounds = map_.shard_rect(s);
   so.prediction_horizon = options_.prediction_horizon;
-  so.record_history = false;  // history lives at the router
   so.wire_cost = options_.wire_cost;
-  so.worker_threads = 1;  // shards tick in parallel, each serially
-  so.num_shards = 1;
   // Per-shard grids adapt independently; boundary moves are the
   // engine's job, so the shard-level flag is inert inside a shard.
   so.adaptive = options_.adaptive;
   so.adaptive.rebalance = false;
-  // Replica positions must stay exact: clamp to the universe, never to
-  // the shard's sub-rect.
-  so.location_clamp_bounds = options_.bounds;
-  return so;
+  return std::unique_ptr<QueryProcessor>(
+      // stq-lint: allow(alloc-discipline/new): private shard constructor, unreachable from make_unique
+      new QueryProcessor(so, cells_x, cells_y));
 }
 
 namespace {
@@ -297,16 +239,13 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   if (objects_.size() < opt.rebalance_min_objects) return;
   const int sx = map_.sx();
   const int sy = map_.sy();
-  const int nx = options_.grid_cells_x > 0 ? options_.grid_cells_x
-                                           : options_.grid_cells_per_side;
-  const int ny = options_.grid_cells_y > 0 ? options_.grid_cells_y
-                                           : options_.grid_cells_per_side;
+  const int cells = options_.grid_cells_per_side;  // per axis, globally
   const Rect& uni = map_.universe();
   const double width = uni.Width();
   const double height = uni.Height();
   // Cell-aligned cuts need at least one global cell column/row per slab
   // and a non-degenerate universe.
-  if (nx < sx || ny < sy || !(width > 0.0) || !(height > 0.0)) return;
+  if (cells < sx || cells < sy || !(width > 0.0) || !(height > 0.0)) return;
 
   // Imbalance gate: committed home-shard object loads under the current
   // map. (Replicas are ignored — the home distribution is what the cuts
@@ -327,13 +266,13 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
 
   // Marginal load histograms at global-grid cell granularity, then
   // quantile cuts per axis (the sx x sy factorization is fixed).
-  const double cell_w = width / nx;
-  const double cell_h = height / ny;
-  std::vector<size_t> hist_x(static_cast<size_t>(nx), 0);
-  std::vector<size_t> hist_y(static_cast<size_t>(ny), 0);
+  const double cell_w = width / cells;
+  const double cell_h = height / cells;
+  std::vector<size_t> hist_x(static_cast<size_t>(cells), 0);
+  std::vector<size_t> hist_y(static_cast<size_t>(cells), 0);
   for (const auto& [oid, ro] : objects_) {
-    ++hist_x[ClampedFloor((ro.loc.x - uni.min_x) / cell_w, nx)];
-    ++hist_y[ClampedFloor((ro.loc.y - uni.min_y) / cell_h, ny)];
+    ++hist_x[ClampedFloor((ro.loc.x - uni.min_x) / cell_w, cells)];
+    ++hist_y[ClampedFloor((ro.loc.y - uni.min_y) / cell_h, cells)];
   }
   std::vector<int> cuts_x = QuantileCuts(hist_x, sx);
   std::vector<int> cuts_y = QuantileCuts(hist_y, sy);
@@ -348,10 +287,10 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
     }
     return edges;
   };
-  std::vector<double> x_edges = edges_of(cuts_x, uni.min_x, uni.max_x, cell_w,
-                                         nx);
-  std::vector<double> y_edges = edges_of(cuts_y, uni.min_y, uni.max_y, cell_h,
-                                         ny);
+  std::vector<double> x_edges =
+      edges_of(cuts_x, uni.min_x, uni.max_x, cell_w, cells);
+  std::vector<double> y_edges =
+      edges_of(cuts_y, uni.min_y, uni.max_y, cell_h, cells);
 
   // --- Commit the new map and hand the routed state off ---------------------
   map_.SetBoundaries(x_edges, y_edges);
@@ -359,12 +298,13 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   y_cell_cuts_ = std::move(cuts_y);
 
   for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s] = std::make_unique<QueryProcessor>(
-        BuildShardOptions(static_cast<int>(s)));
+    shards_[s] = MakeShard(static_cast<int>(s));
   }
 
-  // Re-route and re-ingest every object, ascending id so per-shard
-  // ingestion order is canonical.
+  // Re-route every object and every non-k-NN query (k-NN state is
+  // router-owned and untouched by partitioning) into one sub-batch per
+  // rebuilt shard, ascending id as in a tick's route phase.
+  std::vector<ReportBatch> primes(shards_.size());
   std::vector<ObjectId> oids;
   oids.reserve(objects_.size());
   for (const auto& [oid, ro] : objects_) oids.push_back(oid);
@@ -372,27 +312,12 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   size_t moved_objects = 0;
   for (ObjectId oid : oids) {
     RoutedObject& ro = *objects_.FindPtr(oid);
-    PendingObjectUpsert u;
-    u.id = oid;
-    u.loc = ro.loc;
-    u.vel = ro.vel;
-    u.t = ro.t;
-    u.predictive = ro.predictive;
-    ShardList old_shards = ro.shards;
+    const PendingObjectUpsert u{oid, ro.loc, ro.vel, ro.t, ro.predictive};
+    const ShardList old_shards = ro.shards;
     RouteShardsOfObject(u, &ro.shards);
     if (!(ro.shards == old_shards)) ++moved_objects;
-    for (int s : ro.shards) {
-      const Status st =
-          ro.predictive
-              ? shards_[s]->UpsertPredictiveObject(oid, ro.loc, ro.vel, ro.t)
-              : shards_[s]->UpsertObject(oid, ro.loc, ro.t);
-      STQ_CHECK(st.ok()) << "rebalance re-ingest of object " << oid
-                         << " failed: " << st.ToString();
-    }
+    for (int s : ro.shards) primes[s].upserts.push_back(u);
   }
-
-  // Re-route and re-register every non-k-NN query (k-NN state is
-  // router-owned and untouched by partitioning).
   std::vector<QueryId> qids;
   qids.reserve(queries_.size());
   for (const auto& [qid, rq] : queries_) qids.push_back(qid);
@@ -402,34 +327,19 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
     if (rq.kind == QueryKind::kKnn) continue;
     RouteShardsOf(rq, &rq.shards);
     for (int s : rq.shards) {
-      Status st;
-      switch (rq.kind) {
-        case QueryKind::kRange:
-          st = shards_[s]->RegisterRangeQuery(qid, rq.region);
-          break;
-        case QueryKind::kPredictiveRange:
-          st = shards_[s]->RegisterPredictiveQuery(qid, rq.region, rq.t_from,
-                                                   rq.t_to);
-          break;
-        case QueryKind::kCircleRange:
-          st = shards_[s]->RegisterCircleQuery(qid, rq.circle.center,
-                                               rq.circle.radius);
-          break;
-        case QueryKind::kKnn:
-          break;
-      }
-      STQ_CHECK(st.ok()) << "rebalance re-register of query " << qid
-                         << " failed: " << st.ToString();
+      primes[s].query_changes.push_back(ShardRegistration(qid, rq, s));
     }
   }
 
-  // Priming tick at the previous tick time: commits the re-ingested
-  // state inside every shard, reproducing each shard's answer store as
-  // of the last committed tick. The stream it produces is the handoff's
+  // Priming tick at the previous tick time: commits the handed-off state
+  // inside every shard, reproducing each shard's answer store as of the
+  // last committed tick. The stream it produces is the handoff's
   // internal bookkeeping, never surfaced.
   TickResult discard;
-  for (const std::unique_ptr<QueryProcessor>& shard : shards_) {
-    shard->EvaluateTickInto(last_tick_time_, &discard);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    discard.updates.clear();
+    shards_[s]->TickBatch(primes[s], last_tick_time_, &discard.updates,
+                          &discard.stats);
   }
 
   // Rebuild the per-(query, object) shard refcounts from the new shard
@@ -469,266 +379,26 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   event.x_edges = std::move(x_edges);
   event.y_edges = std::move(y_edges);
   event.moved_objects = moved_objects;
-  rebalance_history_.push_back(std::move(event));
+  rebalances_.push_back(std::move(event));
   ++stats->shard_rebalances;
 }
 
 // ---------------------------------------------------------------------------
-// Report ingestion (mirrors QueryProcessor bit for bit)
+// The front's lookups
 // ---------------------------------------------------------------------------
 
-double ShardedEngine::LatestKnownReportTime(ObjectId id) const {
-  if (buffer_.HasPendingRemove(id)) return -kInf;
-  if (const PendingObjectUpsert* u = buffer_.FindPendingUpsert(id);
-      u != nullptr) {
-    return u->t;
-  }
+std::optional<Timestamp> ShardedEngine::AppliedReportTime(ObjectId id) const {
   if (auto it = objects_.find(id); it != objects_.end()) return it->second.t;
-  return -kInf;
+  return std::nullopt;
 }
 
-Point ShardedEngine::ClampLocation(const Point& loc) const {
-  return Point{std::clamp(loc.x, options_.bounds.min_x, options_.bounds.max_x),
-               std::clamp(loc.y, options_.bounds.min_y,
-                          options_.bounds.max_y)};
-}
-
-Rect ShardedEngine::ClampRegion(const Rect& region) const {
-  return region.Intersection(options_.bounds);
-}
-
-Status ShardedEngine::UpsertObject(ObjectId id, const Point& loc,
-                                   Timestamp t) {
-  if (t < LatestKnownReportTime(id)) {
-    return Status::InvalidArgument("stale object report");
-  }
-  buffer_.AddObjectUpsert(PendingObjectUpsert{id, ClampLocation(loc),
-                                              Velocity{}, t,
-                                              /*predictive=*/false});
-  return Status::OK();
-}
-
-Status ShardedEngine::UpsertPredictiveObject(ObjectId id, const Point& loc,
-                                             const Velocity& vel,
-                                             Timestamp t) {
-  if (t < LatestKnownReportTime(id)) {
-    return Status::InvalidArgument("stale object report");
-  }
-  buffer_.AddObjectUpsert(PendingObjectUpsert{id, ClampLocation(loc), vel, t,
-                                              /*predictive=*/true});
-  return Status::OK();
-}
-
-Status ShardedEngine::RemoveObject(ObjectId id) {
-  const bool exists_in_store = objects_.contains(id);
-  if (!exists_in_store && !buffer_.HasPendingUpsert(id)) {
-    std::ostringstream os;
-    os << "object " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
-  buffer_.AddObjectRemove(id, exists_in_store);
-  return Status::OK();
-}
-
-Status ShardedEngine::ValidateQueryRegistration(QueryId id) const {
-  const bool live_in_store =
-      queries_.contains(id) && !buffer_.HasPendingQueryUnregister(id);
-  if (live_in_store || buffer_.HasPendingQueryRegister(id)) {
-    std::ostringstream os;
-    os << "query " << id << " already registered";
-    return Status::AlreadyExists(os.str());
-  }
-  return Status::OK();
-}
-
-Result<QueryKind> ShardedEngine::EffectiveQueryKind(QueryId id) const {
-  if (const PendingQueryChange* pending = buffer_.FindPendingQueryChange(id);
-      pending != nullptr) {
-    switch (pending->kind) {
-      case QueryChangeKind::kRegisterRange:
-        return QueryKind::kRange;
-      case QueryChangeKind::kRegisterKnn:
-        return QueryKind::kKnn;
-      case QueryChangeKind::kRegisterPredictive:
-        return QueryKind::kPredictiveRange;
-      case QueryChangeKind::kRegisterCircle:
-        return QueryKind::kCircleRange;
-      case QueryChangeKind::kUnregister: {
-        std::ostringstream os;
-        os << "query " << id << " pending unregistration";
-        return Status::NotFound(os.str());
-      }
-      case QueryChangeKind::kMove:
-        break;  // fall through to the routed kind
-    }
-  }
+std::optional<QueryProcessor::CommittedQuery>
+ShardedEngine::FindCommittedQuery(QueryId id) const {
   if (auto it = queries_.find(id); it != queries_.end()) {
-    return it->second.kind;
+    return QueryProcessor::CommittedQuery{it->second.kind,
+                                          it->second.circle.radius};
   }
-  std::ostringstream os;
-  os << "query " << id << " unknown";
-  return Status::NotFound(os.str());
-}
-
-Status ShardedEngine::RegisterRangeQuery(QueryId id, const Rect& region) {
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "range query region must overlap the space bounds");
-  }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kRegisterRange;
-  c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::MoveRangeQuery(QueryId id, const Rect& region) {
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "range query region must overlap the space bounds");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kRange) {
-    return Status::InvalidArgument("query is not a range query");
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
-  c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::RegisterKnnQuery(QueryId id, const Point& center,
-                                       int k) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kRegisterKnn;
-  c.id = id;
-  c.center = center;
-  c.k = k;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::MoveKnnQuery(QueryId id, const Point& center) {
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kKnn) {
-    return Status::InvalidArgument("query is not a k-NN query");
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
-  c.id = id;
-  c.center = center;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::RegisterCircleQuery(QueryId id, const Point& center,
-                                          double radius) {
-  if (radius <= 0.0) {
-    return Status::InvalidArgument("circle radius must be positive");
-  }
-  if (ClampRegion(Circle{center, radius}.BoundingBox()).IsEmpty()) {
-    return Status::InvalidArgument(
-        "circle query must overlap the space bounds");
-  }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kRegisterCircle;
-  c.id = id;
-  c.center = center;
-  c.radius = radius;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::MoveCircleQuery(QueryId id, const Point& center) {
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kCircleRange) {
-    return Status::InvalidArgument("query is not a circular range query");
-  }
-  double radius = 0.0;
-  if (const PendingQueryChange* pending = buffer_.FindPendingQueryChange(id);
-      pending != nullptr &&
-      pending->kind == QueryChangeKind::kRegisterCircle) {
-    radius = pending->radius;
-  } else if (auto it = queries_.find(id); it != queries_.end()) {
-    radius = it->second.circle.radius;
-  }
-  if (ClampRegion(Circle{center, radius}.BoundingBox()).IsEmpty()) {
-    return Status::InvalidArgument(
-        "circle query must overlap the space bounds");
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
-  c.id = id;
-  c.center = center;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::RegisterPredictiveQuery(QueryId id, const Rect& region,
-                                              double t_from, double t_to) {
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "predictive query region must overlap the space bounds");
-  }
-  if (t_to < t_from) {
-    return Status::InvalidArgument("predictive window must have t_from <= t_to");
-  }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kRegisterPredictive;
-  c.id = id;
-  c.region = clamped;
-  c.t_from = t_from;
-  c.t_to = t_to;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::MovePredictiveQuery(QueryId id, const Rect& region) {
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "predictive query region must overlap the space bounds");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kPredictiveRange) {
-    return Status::InvalidArgument("query is not a predictive query");
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
-  c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::UnregisterQuery(QueryId id) {
-  const bool live_in_store =
-      queries_.contains(id) && !buffer_.HasPendingQueryUnregister(id);
-  if (!live_in_store && !buffer_.HasPendingQueryRegister(id)) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kUnregister;
-  c.id = id;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -751,7 +421,8 @@ void ShardedEngine::RouteShardsOf(const RoutedQuery& rq,
       // this query. RectDistance2 under-approximates the distance to
       // every in-shard point monotonically under FP rounding, so the
       // filter is exact at the boundary (same closed <= as the disk).
-      map_.ShardsOverlapping(ClampRegion(rq.circle.BoundingBox()), out);
+      map_.ShardsOverlapping(rq.circle.BoundingBox().Intersection(map_.universe()),
+                             out);
       const double r2 = rq.circle.radius * rq.circle.radius;
       size_t w = 0;
       for (int s : *out) {
@@ -799,468 +470,345 @@ void ShardedEngine::RouteShardsOfObject(const PendingObjectUpsert& u,
 // Tick
 // ---------------------------------------------------------------------------
 
-TickResult ShardedEngine::EvaluateTick(Timestamp now) {
-  TickResult result;
-  EvaluateTickInto(now, &result);
-  return result;
-}
-
-void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
-  if (now < last_tick_time_) {
-    STQ_LOG(Warning) << "EvaluateTick time went backwards (" << now << " < "
-                     << last_tick_time_ << ")";
-  }
+void ShardedEngine::TickBatch(const ReportBatch& batch, Timestamp now,
+                              std::vector<Update>* out, TickStats* stats) {
   ++tick_index_;
-
-  const uint64_t allocs_before = AllocCount();
-
-  result->time = now;
-  result->updates.clear();
-  result->stats = TickStats{};
-  TickStats* stats = &result->stats;
-  std::vector<Update>* out = &result->updates;
-
   // Adaptive shard rebalancing runs first, on fully committed state: the
-  // shard engines are quiescent between ticks (their report buffers were
-  // drained by the previous tick), and this tick's pending reports still
-  // sit in the router's buffer, untouched — they route against the new
-  // map below like any other batch. last_tick_time_ still holds the
-  // previous tick's time here; the handoff's priming tick re-commits the
-  // moved state at that time, so answers are reproduced exactly.
+  // shard engines are quiescent between ticks, and this tick's batch is
+  // still unrouted — it routes against the new map below like any other
+  // batch. last_tick_time_ still holds the previous tick's time here; the
+  // handoff's priming tick re-commits the moved state at that time, so
+  // answers are reproduced exactly.
   if (options_.adaptive.enabled && options_.adaptive.rebalance) {
-    PhaseTimer rebalance_timer(&stats->rebalance_seconds);
+    PhaseTimer timer(&stats->rebalance_seconds);
     MaybeRebalance(now, stats);
   }
   last_tick_time_ = now;
+  {
+    PhaseTimer timer(&stats->shard_route_seconds);
+    Route(batch, stats);
+  }
+  {
+    PhaseTimer timer(&stats->shard_tick_wall_seconds);
+    TickShards(now, stats);
+  }
+  {
+    PhaseTimer timer(&stats->shard_merge_seconds);
+    Merge(batch, out);
+  }
+  PhaseTimer timer(&stats->shard_knn_seconds);
+  RefreshKnn(out, stats);
+}
 
+// --- Route -------------------------------------------------------------------
+
+void ShardedEngine::Route(const ReportBatch& batch, TickStats* stats) {
   TickScratch& scratch = *scratch_;
   const size_t num_shards = shards_.size();
-  std::vector<PendingObjectUpsert>& upserts = scratch.upserts;
-  std::vector<ObjectId>& removals = scratch.removals;
-  std::vector<PendingQueryChange>& query_changes = scratch.query_changes;
+  scratch.batches.resize(num_shards);
+  scratch.captures.resize(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    scratch.batches[s].clear();
+    scratch.captures[s].clear();
+  }
+  scratch.resets.clear();
+  scratch.reset_members.clear();
+  scratch.events.clear();
 
-  std::vector<char>& touched = scratch.touched;
-  touched.assign(num_shards, 0);
-  // Per-shard op batches recorded by the route phase and applied inside
-  // each shard's parallel tick task.
-  std::vector<std::vector<ShardOp>>& ops = scratch.ops;
-  ops.resize(num_shards);
-  for (std::vector<ShardOp>& v : ops) v.clear();
-  // Per-shard leaf delta streams (captures + shard updates), built by the
-  // parallel tasks and combined by the reduction tree below.
-  std::vector<std::vector<MergeEntry>>& shard_entries = scratch.shard_entries;
-  shard_entries.resize(num_shards);
-  for (std::vector<MergeEntry>& v : shard_entries) v.clear();
-  std::vector<std::vector<ObjectId>>& capture_ids = scratch.capture_ids;
-  capture_ids.resize(num_shards);
-  std::vector<Reset>& resets = scratch.resets;  // ascending qid (change order)
-  std::vector<ObjectId>& reset_members = scratch.reset_members;
-  FlatSet<QueryId>& reset_qids = scratch.reset_qids;
-  FlatSet<ObjectId>& global_removals = scratch.global_removals;
-  resets.clear();
-  reset_members.clear();
-  reset_qids.clear();
-  global_removals.clear();
-  // Objects shard s will emit its own phase-1 removal negatives for this
-  // tick; move-away captures must not decrement those pairs again.
-  std::vector<FlatSet<ObjectId>>& removed_from = scratch.removed_from;
-  removed_from.resize(num_shards);
-  for (FlatSet<ObjectId>& s : removed_from) s.clear();
-  std::vector<KnnEvent>& events = scratch.events;
-  events.clear();
+  RouteObjects(batch, stats);
+  for (const PendingQueryChange& c : batch.query_changes) {
+    RouteQueryChange(c, stats);
+  }
+  // A shard's removals are the routed global removals followed by the
+  // hand-offs of departing upserts; restore one ascending order.
+  for (ReportBatch& b : scratch.batches) {
+    std::sort(b.removals.begin(), b.removals.end());
+  }
+}
 
-  {
-    PhaseTimer route_timer(&stats->shard_route_seconds);
-
-    buffer_.Drain(&upserts, &removals, &query_changes);
-
-    // Deterministic processing order independent of hash-map iteration —
-    // the exact comparators the single-grid engine uses, so histories and
-    // shard-dispatch orders line up.
-    std::sort(upserts.begin(), upserts.end(),
-              [](const PendingObjectUpsert& a, const PendingObjectUpsert& b) {
-                return a.id < b.id;
-              });
-    std::sort(removals.begin(), removals.end());
-    std::sort(query_changes.begin(), query_changes.end(),
-              [](const PendingQueryChange& a, const PendingQueryChange& b) {
-                return a.id < b.id;
-              });
-
-    // --- Route removals ---------------------------------------------------
-    for (ObjectId id : removals) {
-      auto it = objects_.find(id);
-      STQ_CHECK(it != objects_.end())
-          << "buffered removal of unknown object " << id;
-      RoutedObject& ro = it->second;
-      if (history_ != nullptr) history_->RecordRemoval(id, now);
-      for (int s : ro.shards) {
-        ShardOp op;
-        op.kind = ShardOp::Kind::kRemoveObject;
-        op.id = id;
-        ops[s].push_back(op);
-        touched[s] = 1;
-        removed_from[s].insert(id);
-      }
-      global_removals.insert(id);
-      KnnEvent e;
-      e.old_loc = ro.loc;
-      e.has_old = true;
-      events.push_back(e);
-      objects_.erase(it);
-      ++stats->object_removals_applied;
-    }
-
-    // --- Route upserts ----------------------------------------------------
-    for (const PendingObjectUpsert& u : upserts) {
-      if (history_ != nullptr) history_->RecordReport(u.id, u.loc, u.t);
-      ShardList& ns = scratch.route_ns;
-      RouteShardsOfObject(u, &ns);
-      auto record_upsert = [&](int s) {
-        ShardOp op;
-        op.kind = ShardOp::Kind::kUpsert;
-        op.predictive = u.predictive;
-        op.id = u.id;
-        op.loc = u.loc;
-        op.vel = u.vel;
-        op.t = u.t;
-        ops[s].push_back(op);
-        touched[s] = 1;
-      };
-      KnnEvent e;
-      e.new_loc = u.loc;
-      e.has_new = true;
-      auto it = objects_.find(u.id);
-      if (it == objects_.end()) {
-        for (int s : ns) record_upsert(s);
-        RoutedObject ro;
-        ro.loc = u.loc;
-        ro.vel = u.predictive ? u.vel : Velocity{};
-        ro.t = u.t;
-        ro.predictive = u.predictive;
-        ro.shards = ns;
-        objects_.emplace(u.id, std::move(ro));
-      } else {
-        RoutedObject& ro = it->second;
-        e.old_loc = ro.loc;
-        e.has_old = true;
-        for (int s : ns) {
-          // A removal followed by a re-report older than the removed
-          // record coalesced into this upsert. A shard still holding the
-          // old record would reject the older report as stale, so replay
-          // the removal there first; the shard's buffer coalesces the
-          // pair into the same upsert.
-          if (u.t < ro.t &&
-              std::binary_search(ro.shards.begin(), ro.shards.end(), s)) {
-            ShardOp op;
-            op.kind = ShardOp::Kind::kRemoveObject;
-            op.id = u.id;
-            ops[s].push_back(op);
-          }
-          record_upsert(s);
-        }
-        // Departed shards: the object hands off; the shard ships its own
-        // phase-1 negatives for every answer it participated in there.
-        for (int s : ro.shards) {
-          if (!std::binary_search(ns.begin(), ns.end(), s)) {
-            ShardOp op;
-            op.kind = ShardOp::Kind::kRemoveObject;
-            op.id = u.id;
-            ops[s].push_back(op);
-            touched[s] = 1;
-            removed_from[s].insert(u.id);
-          }
-        }
-        ro.loc = u.loc;
-        ro.vel = u.predictive ? u.vel : Velocity{};
-        ro.t = u.t;
-        ro.predictive = u.predictive;
-        ro.shards = ns;
-      }
-      events.push_back(e);
-      ++stats->object_updates_applied;
-    }
-
-    // --- Route query changes ----------------------------------------------
-    auto snapshot_members = [&](QueryId qid, const RoutedQuery& rq, Reset* r) {
-      r->begin = reset_members.size();
-      if (rq.kind == QueryKind::kKnn) {
-        reset_members.insert(reset_members.end(), rq.knn_answer.begin(),
-                             rq.knn_answer.end());  // already sorted by id
-      } else if (auto mit = members_.find(qid); mit != members_.end()) {
-        for (const auto& [oid, cnt] : mit->second) {
-          reset_members.push_back(oid);
-        }
-        std::sort(reset_members.begin() + static_cast<ptrdiff_t>(r->begin),
-                  reset_members.end());
-      }
-      r->end = reset_members.size();
-    };
-    auto drop_routed_query = [&](QueryId qid) {
-      auto it = queries_.find(qid);
-      STQ_CHECK(it != queries_.end()) << "dropping unknown query " << qid;
-      RoutedQuery& rq = it->second;
-      Reset r;
-      r.qid = qid;
-      snapshot_members(qid, rq, &r);
-      resets.push_back(r);
-      reset_qids.insert(qid);
-      for (int s : rq.shards) {
-        ShardOp op;
-        op.kind = ShardOp::Kind::kUnregister;
-        op.id = qid;
-        ops[s].push_back(op);
-        touched[s] = 1;
-      }
-      members_.erase(qid);
-      knn_dirty_.erase(qid);
-      queries_.erase(it);
-      ++stats->queries_unregistered;
-    };
-
-    for (const PendingQueryChange& c : query_changes) {
-      switch (c.kind) {
-        case QueryChangeKind::kUnregister: {
-          drop_routed_query(c.id);
-          break;
-        }
-        case QueryChangeKind::kMove: {
-          auto it = queries_.find(c.id);
-          STQ_CHECK(it != queries_.end()) << "buffered move of unknown query";
-          RoutedQuery& rq = it->second;
-          if (rq.kind == QueryKind::kKnn) {
-            rq.circle.center = c.center;
-            knn_dirty_.insert(c.id);
-            ++stats->query_changes_applied;
-            break;
-          }
-          if (rq.kind == QueryKind::kCircleRange) {
-            rq.circle.center = c.center;
-          } else {
-            rq.region = c.region;
-          }
-          ShardList& ns = scratch.route_ns;
-          RouteShardsOf(rq, &ns);
-          for (int s : ns) {
-            touched[s] = 1;
-            const bool retained =
-                std::binary_search(rq.shards.begin(), rq.shards.end(), s);
-            ShardOp op;
-            op.id = c.id;
-            switch (rq.kind) {
-              case QueryKind::kRange:
-                op.kind = retained ? ShardOp::Kind::kMoveRange
-                                   : ShardOp::Kind::kRegisterRange;
-                op.region = rq.region;
-                break;
-              case QueryKind::kPredictiveRange:
-                op.kind = retained ? ShardOp::Kind::kMovePredictive
-                                   : ShardOp::Kind::kRegisterPredictive;
-                op.region = rq.region;
-                op.t_from = rq.t_from;
-                op.t_to = rq.t_to;
-                break;
-              case QueryKind::kCircleRange:
-                op.kind = retained ? ShardOp::Kind::kMoveCircle
-                                   : ShardOp::Kind::kRegisterCircle;
-                op.loc = c.center;
-                op.radius = rq.circle.radius;
-                break;
-              case QueryKind::kKnn:
-                STQ_CHECK(false) << "unreachable: k-NN moves never route";
-                break;
-            }
-            ops[s].push_back(op);
-          }
-          for (int s : rq.shards) {
-            if (!std::binary_search(ns.begin(), ns.end(), s)) {
-              // Departing shard: capture its committed answer (it turns
-              // all-negative at the router), then unregister there.
-              ShardOp cap;
-              cap.kind = ShardOp::Kind::kCapture;
-              cap.id = c.id;
-              ops[s].push_back(cap);
-              ShardOp unreg;
-              unreg.kind = ShardOp::Kind::kUnregister;
-              unreg.id = c.id;
-              ops[s].push_back(unreg);
-              touched[s] = 1;
-            }
-          }
-          rq.shards = ns;
-          ++stats->query_changes_applied;
-          break;
-        }
-        default: {  // a Register*: re-registration drops the old incarnation
-          if (queries_.contains(c.id)) drop_routed_query(c.id);
-          RoutedQuery rq;
-          switch (c.kind) {
-            case QueryChangeKind::kRegisterRange:
-              rq.kind = QueryKind::kRange;
-              rq.region = c.region;
-              break;
-            case QueryChangeKind::kRegisterPredictive:
-              rq.kind = QueryKind::kPredictiveRange;
-              rq.region = c.region;
-              rq.t_from = c.t_from;
-              rq.t_to = c.t_to;
-              break;
-            case QueryChangeKind::kRegisterCircle:
-              rq.kind = QueryKind::kCircleRange;
-              rq.circle = Circle{c.center, c.radius};
-              break;
-            case QueryChangeKind::kRegisterKnn:
-              rq.kind = QueryKind::kKnn;
-              rq.circle = Circle{c.center, 0.0};
-              rq.k = c.k;
-              break;
-            case QueryChangeKind::kMove:
-            case QueryChangeKind::kUnregister:
-              STQ_CHECK(false) << "unreachable";
-              break;
-          }
-          RouteShardsOf(rq, &rq.shards);
-          for (int s : rq.shards) {
-            touched[s] = 1;
-            ShardOp op;
-            op.id = c.id;
-            switch (rq.kind) {
-              case QueryKind::kRange:
-                op.kind = ShardOp::Kind::kRegisterRange;
-                op.region = rq.region;
-                break;
-              case QueryKind::kPredictiveRange:
-                op.kind = ShardOp::Kind::kRegisterPredictive;
-                op.region = rq.region;
-                op.t_from = rq.t_from;
-                op.t_to = rq.t_to;
-                break;
-              case QueryKind::kCircleRange:
-                op.kind = ShardOp::Kind::kRegisterCircle;
-                op.loc = rq.circle.center;
-                op.radius = rq.circle.radius;
-                break;
-              case QueryKind::kKnn:
-                STQ_CHECK(false) << "unreachable: k-NN routes to no shard";
-                break;
-            }
-            ops[s].push_back(op);
-          }
-          if (rq.kind == QueryKind::kKnn) knn_dirty_.insert(c.id);
-          queries_.emplace(c.id, std::move(rq));
-          ++stats->query_changes_applied;
-          break;
-        }
-      }
-    }
+void ShardedEngine::RouteObjects(const ReportBatch& batch, TickStats* stats) {
+  TickScratch& scratch = *scratch_;
+  for (ObjectId id : batch.removals) {
+    auto it = objects_.find(id);
+    STQ_CHECK(it != objects_.end())
+        << "buffered removal of unknown object " << id;
+    const RoutedObject& ro = it->second;
+    for (int s : ro.shards) scratch.batches[s].removals.push_back(id);
+    KnnEvent e;
+    e.old_loc = ro.loc;
+    e.has_old = true;
+    scratch.events.push_back(e);
+    objects_.erase(it);
+    ++stats->object_removals_applied;
   }
 
-  // --- Parallel shard phase -------------------------------------------------
-  // Each touched shard's task applies its buffered op batch (shard
-  // ingestion overlaps with other shards' ticks — the route phase above
+  for (const PendingObjectUpsert& u : batch.upserts) {
+    ShardList& ns = scratch.route_ns;
+    RouteShardsOfObject(u, &ns);
+    for (int s : ns) scratch.batches[s].upserts.push_back(u);
+    KnnEvent e;
+    e.new_loc = u.loc;
+    e.has_new = true;
+    auto [it, inserted] = objects_.try_emplace(u.id);
+    RoutedObject& ro = it->second;
+    if (!inserted) {
+      e.old_loc = ro.loc;
+      e.has_old = true;
+      // Departed shards: the object hands off; the shard ships its own
+      // phase-1 negatives for every answer it participated in there.
+      for (int s : ro.shards) {
+        if (!std::binary_search(ns.begin(), ns.end(), s)) {
+          scratch.batches[s].removals.push_back(u.id);
+        }
+      }
+    }
+    ro.loc = u.loc;
+    ro.vel = u.predictive ? u.vel : Velocity{};
+    ro.t = u.t;
+    ro.predictive = u.predictive;
+    ro.shards = ns;
+    scratch.events.push_back(e);
+    ++stats->object_updates_applied;
+  }
+}
+
+void ShardedEngine::RouteQueryChange(const PendingQueryChange& c,
+                                     TickStats* stats) {
+  if (c.kind == QueryChangeKind::kUnregister) {
+    DropRoutedQuery(c.id, stats);
+    return;
+  }
+  if (c.kind != QueryChangeKind::kMove) {
+    // A Register; re-registration drops the old incarnation first.
+    if (queries_.contains(c.id)) DropRoutedQuery(c.id, stats);
+    RoutedQuery rq;
+    switch (c.kind) {
+      case QueryChangeKind::kRegisterRange:
+        rq.kind = QueryKind::kRange;
+        rq.region = c.region;
+        break;
+      case QueryChangeKind::kRegisterPredictive:
+        rq.kind = QueryKind::kPredictiveRange;
+        rq.region = c.region;
+        rq.t_from = c.t_from;
+        rq.t_to = c.t_to;
+        break;
+      case QueryChangeKind::kRegisterCircle:
+        rq.kind = QueryKind::kCircleRange;
+        rq.circle = Circle{c.center, c.radius};
+        break;
+      case QueryChangeKind::kRegisterKnn:
+        rq.kind = QueryKind::kKnn;
+        rq.circle = Circle{c.center, 0.0};
+        rq.k = c.k;
+        knn_dirty_.insert(c.id);
+        break;
+      case QueryChangeKind::kMove:
+      case QueryChangeKind::kUnregister:
+        STQ_CHECK(false) << "unreachable";
+        break;
+    }
+    RouteShardsOf(rq, &rq.shards);
+    for (int s : rq.shards) PushQueryChange(s, ShardRegistration(c.id, rq, s));
+    queries_.emplace(c.id, std::move(rq));
+    ++stats->query_changes_applied;
+    return;
+  }
+
+  auto it = queries_.find(c.id);
+  STQ_CHECK(it != queries_.end()) << "buffered move of unknown query";
+  RoutedQuery& rq = it->second;
+  ++stats->query_changes_applied;
+  if (rq.kind == QueryKind::kKnn) {
+    rq.circle.center = c.center;
+    knn_dirty_.insert(c.id);
+    return;
+  }
+  if (rq.kind == QueryKind::kCircleRange) {
+    rq.circle.center = c.center;
+  } else {
+    rq.region = c.region;
+  }
+  ShardList& ns = scratch_->route_ns;
+  RouteShardsOf(rq, &ns);
+  for (int s : ns) {
+    if (!std::binary_search(rq.shards.begin(), rq.shards.end(), s)) {
+      PushQueryChange(s, ShardRegistration(c.id, rq, s));
+      continue;
+    }
+    PendingQueryChange m;
+    m.kind = QueryChangeKind::kMove;
+    m.id = c.id;
+    if (rq.kind == QueryKind::kCircleRange) {
+      m.center = rq.circle.center;
+    } else {
+      m.region = rq.region.Intersection(map_.shard_rect(s));
+    }
+    PushQueryChange(s, m);
+  }
+  for (int s : rq.shards) {
+    if (!std::binary_search(ns.begin(), ns.end(), s)) {
+      // Departing shard: capture its committed answer (it turns
+      // all-negative at the router), then unregister there.
+      scratch_->captures[s].push_back(c.id);
+      PendingQueryChange u;
+      u.kind = QueryChangeKind::kUnregister;
+      u.id = c.id;
+      PushQueryChange(s, u);
+    }
+  }
+  rq.shards = ns;
+}
+
+void ShardedEngine::DropRoutedQuery(QueryId qid, TickStats* stats) {
+  auto it = queries_.find(qid);
+  STQ_CHECK(it != queries_.end()) << "dropping unknown query " << qid;
+  const RoutedQuery& rq = it->second;
+  TickScratch& scratch = *scratch_;
+  std::vector<ObjectId>& members = scratch.reset_members;
+  Reset r;
+  r.qid = qid;
+  r.begin = members.size();
+  if (rq.kind == QueryKind::kKnn) {
+    // Already sorted by id.
+    members.insert(members.end(), rq.knn_answer.begin(), rq.knn_answer.end());
+  } else if (auto mit = members_.find(qid); mit != members_.end()) {
+    for (const auto& [oid, cnt] : mit->second) members.push_back(oid);
+    std::sort(members.begin() + static_cast<ptrdiff_t>(r.begin),
+              members.end());
+  }
+  r.end = members.size();
+  scratch.resets.push_back(r);
+  for (int s : rq.shards) {
+    PendingQueryChange u;
+    u.kind = QueryChangeKind::kUnregister;
+    u.id = qid;
+    PushQueryChange(s, u);
+  }
+  members_.erase(qid);
+  knn_dirty_.erase(qid);
+  queries_.erase(it);
+  ++stats->queries_unregistered;
+}
+
+void ShardedEngine::PushQueryChange(int s, const PendingQueryChange& c) {
+  std::vector<PendingQueryChange>& changes =
+      scratch_->batches[s].query_changes;
+  if (!changes.empty() && changes.back().id == c.id) {
+    STQ_DCHECK(changes.back().kind == QueryChangeKind::kUnregister &&
+               c.kind != QueryChangeKind::kMove &&
+               c.kind != QueryChangeKind::kUnregister)
+        << "only an Unregister then Register of one query shares a shard";
+    changes.back() = c;
+    return;
+  }
+  changes.push_back(c);
+}
+
+PendingQueryChange ShardedEngine::ShardRegistration(QueryId qid,
+                                                    const RoutedQuery& rq,
+                                                    int s) const {
+  PendingQueryChange c;
+  c.id = qid;
+  switch (rq.kind) {
+    case QueryKind::kRange:
+      c.kind = QueryChangeKind::kRegisterRange;
+      c.region = rq.region.Intersection(map_.shard_rect(s));
+      break;
+    case QueryKind::kPredictiveRange:
+      c.kind = QueryChangeKind::kRegisterPredictive;
+      c.region = rq.region.Intersection(map_.shard_rect(s));
+      c.t_from = rq.t_from;
+      c.t_to = rq.t_to;
+      break;
+    case QueryKind::kCircleRange:
+      c.kind = QueryChangeKind::kRegisterCircle;
+      c.center = rq.circle.center;
+      c.radius = rq.circle.radius;
+      break;
+    case QueryKind::kKnn:
+      STQ_CHECK(false) << "unreachable: k-NN queries route to no shard";
+      break;
+  }
+  return c;
+}
+
+// --- Shard tick --------------------------------------------------------------
+
+void ShardedEngine::TickShards(Timestamp now, TickStats* stats) {
+  // Each touched shard's task reads its captures, applies its sub-batch
+  // (shard ingestion overlaps with other shards' ticks — the route phase
   // only computed the decisions), runs the shard tick, and builds its
   // sorted leaf delta stream. Tasks are claimed via the pool's
-  // work-stealing dispatcher with the largest batches first, so one
+  // work-stealing dispatcher with the largest sub-batches first, so one
   // heavy shard cannot strand the rest of a static partition idle.
+  TickScratch& scratch = *scratch_;
+  const size_t num_shards = shards_.size();
   std::vector<int>& ticked = scratch.ticked;
   ticked.clear();
   for (size_t s = 0; s < num_shards; ++s) {
-    if (touched[s]) ticked.push_back(static_cast<int>(s));
+    if (scratch.batches[s].size() > 0) ticked.push_back(static_cast<int>(s));
   }
-  std::sort(ticked.begin(), ticked.end(), [&ops](int a, int b) {
-    if (ops[a].size() != ops[b].size()) return ops[a].size() > ops[b].size();
+  std::sort(ticked.begin(), ticked.end(), [&scratch](int a, int b) {
+    const size_t na = scratch.batches[a].size();
+    const size_t nb = scratch.batches[b].size();
+    if (na != nb) return na > nb;
     return a < b;  // deterministic tie-break
   });
-  std::vector<TickResult>& shard_results = scratch.shard_results;
-  shard_results.resize(num_shards);
-  {
-    PhaseTimer wall_timer(&stats->shard_tick_wall_seconds);
-    std::vector<double>& shard_walls = scratch.shard_walls;
-    shard_walls.assign(ticked.size(), 0.0);
-    auto run_one = [&](size_t i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const int s = ticked[i];
-      QueryProcessor& shard = *shards_[s];
-      std::vector<MergeEntry>& leaf = shard_entries[s];
-      for (const ShardOp& op : ops[s]) {
-        Status st;
-        switch (op.kind) {
-          case ShardOp::Kind::kRemoveObject:
-            st = shard.RemoveObject(op.id);
-            break;
-          case ShardOp::Kind::kUpsert:
-            st = op.predictive
-                     ? shard.UpsertPredictiveObject(op.id, op.loc, op.vel,
-                                                    op.t)
-                     : shard.UpsertObject(op.id, op.loc, op.t);
-            break;
-          case ShardOp::Kind::kRegisterRange:
-            st = shard.RegisterRangeQuery(op.id, op.region);
-            break;
-          case ShardOp::Kind::kRegisterPredictive:
-            st = shard.RegisterPredictiveQuery(op.id, op.region, op.t_from,
-                                               op.t_to);
-            break;
-          case ShardOp::Kind::kRegisterCircle:
-            st = shard.RegisterCircleQuery(op.id, op.loc, op.radius);
-            break;
-          case ShardOp::Kind::kMoveRange:
-            st = shard.MoveRangeQuery(op.id, op.region);
-            break;
-          case ShardOp::Kind::kMovePredictive:
-            st = shard.MovePredictiveQuery(op.id, op.region);
-            break;
-          case ShardOp::Kind::kMoveCircle:
-            st = shard.MoveCircleQuery(op.id, op.loc);
-            break;
-          case ShardOp::Kind::kCapture: {
-            // The departing query's committed answer in this shard turns
-            // all-negative at the router. Reading it here — before the
-            // shard tick — is exact: shard ingestion is buffered, so the
-            // ops above cannot have changed the committed answer.
-            // Objects this shard is removing this tick ship their own
-            // phase-1 negatives and are skipped.
-            std::vector<ObjectId>& captured = capture_ids[s];
-            captured.clear();
-            STQ_CHECK(shard.AppendAnswerIds(op.id, &captured))
-                << "shard " << s << " lost query " << op.id;
-            for (ObjectId oid : captured) {
-              if (!removed_from[s].contains(oid)) {
-                leaf.push_back(MergeEntry{op.id, oid, -1, 0});
-              }
-            }
-            continue;
-          }
-          case ShardOp::Kind::kUnregister:
-            st = shard.UnregisterQuery(op.id);
-            break;
+  scratch.shard_entries.resize(num_shards);
+  scratch.capture_ids.resize(num_shards);
+  scratch.shard_results.resize(num_shards);
+  std::vector<double>& shard_walls = scratch.shard_walls;
+  shard_walls.assign(ticked.size(), 0.0);
+  auto run_one = [&](size_t i) {
+    PhaseTimer wall_timer(&shard_walls[i]);
+    const int s = ticked[i];
+    QueryProcessor& shard = *shards_[s];
+    const ReportBatch& sub = scratch.batches[s];
+    std::vector<MergeEntry>& leaf = scratch.shard_entries[s];
+    leaf.clear();
+    // A departing query's committed answer in this shard turns
+    // all-negative at the router; it is read before the sub-batch
+    // applies. Objects this shard removes this tick ship their own
+    // phase-1 negatives and are skipped.
+    std::vector<ObjectId>& captured = scratch.capture_ids[s];
+    for (QueryId qid : scratch.captures[s]) {
+      captured.clear();
+      STQ_CHECK(shard.AppendAnswerIds(qid, &captured))
+          << "shard " << s << " lost query " << qid;
+      for (ObjectId oid : captured) {
+        if (!std::binary_search(sub.removals.begin(), sub.removals.end(),
+                                oid)) {
+          leaf.push_back(MergeEntry{qid, oid, -1, 0});
         }
-        STQ_CHECK(st.ok()) << "shard " << s << " rejected buffered op for id "
-                           << op.id << ": " << st.ToString();
       }
-      shard.EvaluateTickInto(now, &shard_results[s]);
-      for (const Update& u : shard_results[s].updates) {
-        const int d = u.sign == UpdateSign::kPositive ? 1 : -1;
-        leaf.push_back(MergeEntry{u.query, u.object, d, d > 0 ? 1 : 0});
-      }
-      BuildLeafStream(&leaf);
-      shard_walls[i] = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    };
-    if (pool_ != nullptr && ticked.size() > 1) {
-      pool_->RunDynamic(ticked.size(), run_one);
-    } else {
-      for (size_t i = 0; i < ticked.size(); ++i) run_one(i);
     }
-    for (double w : shard_walls) {
-      stats->shard_tick_busy_seconds += w;
-      stats->shard_tick_max_seconds = std::max(stats->shard_tick_max_seconds, w);
+    TickResult& r = scratch.shard_results[s];
+    r.updates.clear();
+    r.stats = TickStats{};
+    shard.TickBatch(sub, now, &r.updates, &r.stats);
+    // The raw stream needs no canonicalization first: a consistent
+    // single grid never emits a cancelling (+, -) pair for one (query,
+    // object) within a tick, so the leaf's sort and per-key sums see
+    // exactly what the canonical stream would hold.
+    for (const Update& u : r.updates) {
+      const int d = u.sign == UpdateSign::kPositive ? 1 : -1;
+      leaf.push_back(MergeEntry{u.query, u.object, d, d > 0 ? 1 : 0});
     }
+    BuildLeafStream(&leaf);
+  };
+  if (pool_ != nullptr && ticked.size() > 1) {
+    pool_->RunDynamic(ticked.size(), run_one);
+  } else {
+    for (size_t i = 0; i < ticked.size(); ++i) run_one(i);
+  }
+  for (double w : shard_walls) {
+    stats->shard_tick_busy_seconds += w;
+    stats->shard_tick_max_seconds = std::max(stats->shard_tick_max_seconds, w);
   }
   stats->shards_ticked = ticked.size();
   for (int s : ticked) {
-    const TickStats& ss = shard_results[s].stats;
+    const TickStats& ss = scratch.shard_results[s].stats;
     stats->removals_seconds += ss.removals_seconds;
     stats->upserts_seconds += ss.upserts_seconds;
     stats->query_changes_seconds += ss.query_changes_seconds;
@@ -1273,185 +821,173 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     stats->cells_merged += ss.cells_merged;
     stats->adapt_seconds += ss.adapt_seconds;
   }
+}
 
-  // --- Refcount merge -------------------------------------------------------
+// --- Merge -------------------------------------------------------------------
+
+void ShardedEngine::Merge(const ReportBatch& batch, std::vector<Update>* out) {
   // The sorted per-shard leaf streams are pairwise-combined on the worker
   // pool by a reduction tree. Per-key (d, plus) addition is associative
   // and commutative, so the root stream is independent of pairing and
   // claim order; only the final application against the router's
   // committed refcounts — which mutates members_ — stays serial.
-  {
-    PhaseTimer merge_timer(&stats->shard_merge_seconds);
-    std::vector<std::vector<MergeEntry>*>& cur = scratch.tree_cur;
-    std::vector<std::vector<MergeEntry>*>& next = scratch.tree_next;
-    std::vector<std::vector<MergeEntry>>& bufs = scratch.tree_bufs;
-    cur.clear();
-    for (int s : ticked) cur.push_back(&shard_entries[s]);
-    if (cur.size() > 1 && bufs.size() < cur.size() - 1) {
-      bufs.resize(cur.size() - 1);  // one reused buffer per internal node
-    }
-    size_t buf_idx = 0;
-    while (cur.size() > 1) {
-      const size_t pairs = cur.size() / 2;
-      auto merge_pair = [&](size_t j) {
-        MergeStreams(*cur[2 * j], *cur[2 * j + 1], &bufs[buf_idx + j]);
-      };
-      if (pool_ != nullptr && pairs > 1) {
-        pool_->RunDynamic(pairs, merge_pair);
-      } else {
-        for (size_t j = 0; j < pairs; ++j) merge_pair(j);
-      }
-      next.clear();
-      for (size_t j = 0; j < pairs; ++j) next.push_back(&bufs[buf_idx + j]);
-      if (cur.size() % 2 == 1) next.push_back(cur.back());
-      buf_idx += pairs;
-      cur.swap(next);
-    }
-
-    static const std::vector<MergeEntry> kNoEntries;
-    const std::vector<MergeEntry>& entries =
-        cur.empty() ? kNoEntries : *cur[0];
-    size_t i = 0;
-    const size_t n = entries.size();
-    while (i < n) {
-      const QueryId q = entries[i].q;
-      size_t q_end = i;
-      while (q_end < n && entries[q_end].q == q) ++q_end;
-      if (reset_qids.contains(q)) {
-        // The query was dropped (and possibly re-registered) this tick.
-        // The single-grid engine starts the new incarnation's answer
-        // stream from scratch: every shard-reported member of the NEW
-        // incarnation ships as a positive, regardless of old membership;
-        // the old incarnation's emissions are discarded (its removal
-        // negatives are reconstructed below from the removal batch).
-        const bool reregistered = queries_.contains(q);
-        for (; i < q_end; ++i) {
-          if (reregistered && entries[i].plus > 0) {
-            out->push_back(Update::Positive(q, entries[i].o));
-            members_[q][entries[i].o] = entries[i].plus;
-          }
-        }
-      } else {
-        auto mit = members_.find(q);
-        if (mit == members_.end()) {
-          mit = members_.try_emplace(q).first;
-        }
-        auto& counts = mit->second;
-        for (; i < q_end; ++i) {
-          const ObjectId o = entries[i].o;
-          const int delta = entries[i].d;
-          if (delta == 0) continue;  // cancelled within or across shards
-          auto cit = counts.find(o);
-          const int before = cit == counts.end() ? 0 : cit->second;
-          const int after = before + delta;
-          STQ_DCHECK(after >= 0) << "negative shard refcount for query " << q
-                                 << ", object " << o;
-          if (before == 0 && after > 0) {
-            out->push_back(Update::Positive(q, o));
-          } else if (before > 0 && after == 0) {
-            out->push_back(Update::Negative(q, o));
-          }
-          if (after == 0) {
-            if (cit != counts.end()) counts.erase(cit);
-          } else if (cit == counts.end()) {
-            counts.emplace(o, after);
-          } else {
-            cit->second = after;
-          }
-        }
-        if (counts.empty()) members_.erase(mit);
-      }
-    }
-    // Reset negatives: the single-grid engine's phase 1 ships a negative
-    // for every removed object that was a member of a query at tick
-    // start — even when the query itself is dropped later in the tick.
-    if (!global_removals.empty()) {
-      for (const Reset& r : resets) {
-        for (size_t m = r.begin; m < r.end; ++m) {
-          if (global_removals.contains(reset_members[m])) {
-            out->push_back(Update::Negative(r.qid, reset_members[m]));
-          }
-        }
-      }
-    }
+  TickScratch& scratch = *scratch_;
+  std::vector<std::vector<MergeEntry>*>& cur = scratch.tree_cur;
+  std::vector<std::vector<MergeEntry>*>& next = scratch.tree_next;
+  std::vector<std::vector<MergeEntry>>& bufs = scratch.tree_bufs;
+  cur.clear();
+  for (int s : scratch.ticked) cur.push_back(&scratch.shard_entries[s]);
+  if (cur.size() > 1 && bufs.size() < cur.size() - 1) {
+    bufs.resize(cur.size() - 1);  // one reused buffer per internal node
   }
-
-  // --- Router k-NN ----------------------------------------------------------
-  {
-    PhaseTimer knn_timer(&stats->shard_knn_seconds);
-    if (!events.empty()) {
-      for (const auto& [qid, rq] : queries_) {
-        if (rq.kind != QueryKind::kKnn || knn_dirty_.contains(qid)) continue;
-        for (const KnnEvent& e : events) {
-          double d2 = kInf;
-          if (e.has_old) {
-            d2 = std::min(d2, SquaredDistance(rq.circle.center, e.old_loc));
-          }
-          if (e.has_new) {
-            d2 = std::min(d2, SquaredDistance(rq.circle.center, e.new_loc));
-          }
-          // <= mirrors the single-grid candidate probe: exact threshold
-          // ties dirty the query too; an unfilled answer (infinite
-          // threshold) is dirtied by every event.
-          if (d2 <= rq.knn_dist2) {
-            knn_dirty_.insert(qid);
-            break;
-          }
-        }
-      }
-    }
-    std::vector<QueryId>& dirty = scratch.knn_dirty_ids;
-    dirty.assign(knn_dirty_.begin(), knn_dirty_.end());
-    std::sort(dirty.begin(), dirty.end());
-    knn_dirty_.clear();
-    for (QueryId qid : dirty) {
-      auto it = queries_.find(qid);
-      if (it == queries_.end() || it->second.kind != QueryKind::kKnn) continue;
-      RoutedQuery& rq = it->second;
-      const std::vector<KnnEvaluator::Neighbor> neighbors =
-          SearchKnn(rq.circle.center, rq.k);
-      std::vector<ObjectId> fresh;
-      fresh.reserve(neighbors.size());
-      for (const auto& nb : neighbors) fresh.push_back(nb.id);
-      std::sort(fresh.begin(), fresh.end());
-      // Diff against the committed answer (both sorted by id).
-      size_t a = 0, b = 0;
-      while (a < rq.knn_answer.size() || b < fresh.size()) {
-        if (b == fresh.size() ||
-            (a < rq.knn_answer.size() && rq.knn_answer[a] < fresh[b])) {
-          out->push_back(Update::Negative(qid, rq.knn_answer[a]));
-          ++a;
-        } else if (a == rq.knn_answer.size() || fresh[b] < rq.knn_answer[a]) {
-          out->push_back(Update::Positive(qid, fresh[b]));
-          ++b;
-        } else {
-          ++a;
-          ++b;
-        }
-      }
-      rq.knn_answer = std::move(fresh);
-      rq.knn_dist2 = neighbors.size() == static_cast<size_t>(rq.k)
-                         ? neighbors.back().dist2
-                         : kInf;
-      ++stats->knn_reevaluations;
-    }
-  }
-
-  CanonicalizeUpdates(out);
-  for (const Update& u : *out) {
-    if (u.sign == UpdateSign::kPositive) {
-      ++stats->positive_updates;
+  size_t buf_idx = 0;
+  while (cur.size() > 1) {
+    const size_t pairs = cur.size() / 2;
+    auto merge_pair = [&](size_t j) {
+      MergeStreams(*cur[2 * j], *cur[2 * j + 1], &bufs[buf_idx + j]);
+    };
+    if (pool_ != nullptr && pairs > 1) {
+      pool_->RunDynamic(pairs, merge_pair);
     } else {
-      ++stats->negative_updates;
+      for (size_t j = 0; j < pairs; ++j) merge_pair(j);
+    }
+    next.clear();
+    for (size_t j = 0; j < pairs; ++j) next.push_back(&bufs[buf_idx + j]);
+    if (cur.size() % 2 == 1) next.push_back(cur.back());
+    buf_idx += pairs;
+    cur.swap(next);
+  }
+
+  static const std::vector<MergeEntry> kNoEntries;
+  const std::vector<MergeEntry>& entries = cur.empty() ? kNoEntries : *cur[0];
+  const std::vector<Reset>& resets = scratch.resets;
+  size_t i = 0;
+  const size_t n = entries.size();
+  while (i < n) {
+    const QueryId q = entries[i].q;
+    size_t q_end = i;
+    while (q_end < n && entries[q_end].q == q) ++q_end;
+    const auto reset = std::lower_bound(
+        resets.begin(), resets.end(), q,
+        [](const Reset& r, QueryId id) { return r.qid < id; });
+    if (reset != resets.end() && reset->qid == q) {
+      // The query was dropped (and possibly re-registered) this tick.
+      // The single-grid engine starts the new incarnation's answer
+      // stream from scratch: every shard-reported member of the NEW
+      // incarnation ships as a positive, regardless of old membership;
+      // the old incarnation's emissions are discarded (its removal
+      // negatives are reconstructed below from the removal batch).
+      const bool reregistered = queries_.contains(q);
+      for (; i < q_end; ++i) {
+        if (reregistered && entries[i].plus > 0) {
+          out->push_back(Update::Positive(q, entries[i].o));
+          members_[q][entries[i].o] = entries[i].plus;
+        }
+      }
+      continue;
+    }
+    auto mit = members_.find(q);
+    if (mit == members_.end()) mit = members_.try_emplace(q).first;
+    auto& counts = mit->second;
+    for (; i < q_end; ++i) {
+      const ObjectId o = entries[i].o;
+      const int delta = entries[i].d;
+      if (delta == 0) continue;  // cancelled within or across shards
+      auto cit = counts.find(o);
+      const int before = cit == counts.end() ? 0 : cit->second;
+      const int after = before + delta;
+      STQ_DCHECK(after >= 0) << "negative shard refcount for query " << q
+                             << ", object " << o;
+      if (before == 0 && after > 0) {
+        out->push_back(Update::Positive(q, o));
+      } else if (before > 0 && after == 0) {
+        out->push_back(Update::Negative(q, o));
+      }
+      if (after == 0) {
+        if (cit != counts.end()) counts.erase(cit);
+      } else if (cit == counts.end()) {
+        counts.emplace(o, after);
+      } else {
+        cit->second = after;
+      }
+    }
+    if (counts.empty()) members_.erase(mit);
+  }
+  // Reset negatives: the single-grid engine's phase 1 ships a negative
+  // for every removed object that was a member of a query at tick start —
+  // even when the query itself is dropped later in the tick.
+  if (batch.removals.empty()) return;
+  for (const Reset& r : resets) {
+    for (size_t m = r.begin; m < r.end; ++m) {
+      const ObjectId oid = scratch.reset_members[m];
+      if (std::binary_search(batch.removals.begin(), batch.removals.end(),
+                             oid)) {
+        out->push_back(Update::Negative(r.qid, oid));
+      }
     }
   }
-  // Answer footprint over every shard (not just the ticked ones), so the
-  // metric tracks the whole engine's resident answer bytes.
-  stats->bytes_resident = AnswerBytesResident();
-  // The router's own delta — the counter is global (all threads), so this
-  // already covers the per-shard ticks; summing shard results would
-  // double-count.
-  stats->heap_allocations = AllocCount() - allocs_before;
+}
+
+// --- Router k-NN -------------------------------------------------------------
+
+void ShardedEngine::RefreshKnn(std::vector<Update>* out, TickStats* stats) {
+  const std::vector<KnnEvent>& events = scratch_->events;
+  if (!events.empty()) {
+    for (const auto& [qid, rq] : queries_) {
+      if (rq.kind != QueryKind::kKnn || knn_dirty_.contains(qid)) continue;
+      for (const KnnEvent& e : events) {
+        double d2 = kInf;
+        if (e.has_old) {
+          d2 = std::min(d2, SquaredDistance(rq.circle.center, e.old_loc));
+        }
+        if (e.has_new) {
+          d2 = std::min(d2, SquaredDistance(rq.circle.center, e.new_loc));
+        }
+        // <= mirrors the single-grid candidate probe: exact threshold
+        // ties dirty the query too; an unfilled answer (infinite
+        // threshold) is dirtied by every event.
+        if (d2 <= rq.knn_dist2) {
+          knn_dirty_.insert(qid);
+          break;
+        }
+      }
+    }
+  }
+  std::vector<QueryId>& dirty = scratch_->knn_dirty_ids;
+  dirty.assign(knn_dirty_.begin(), knn_dirty_.end());
+  std::sort(dirty.begin(), dirty.end());
+  knn_dirty_.clear();
+  for (QueryId qid : dirty) {
+    auto it = queries_.find(qid);
+    if (it == queries_.end() || it->second.kind != QueryKind::kKnn) continue;
+    RoutedQuery& rq = it->second;
+    const std::vector<KnnEvaluator::Neighbor> neighbors =
+        SearchKnn(rq.circle.center, rq.k);
+    std::vector<ObjectId> fresh;
+    fresh.reserve(neighbors.size());
+    for (const auto& nb : neighbors) fresh.push_back(nb.id);
+    std::sort(fresh.begin(), fresh.end());
+    // Diff against the committed answer (both sorted by id).
+    size_t a = 0, b = 0;
+    while (a < rq.knn_answer.size() || b < fresh.size()) {
+      if (b == fresh.size() ||
+          (a < rq.knn_answer.size() && rq.knn_answer[a] < fresh[b])) {
+        out->push_back(Update::Negative(qid, rq.knn_answer[a]));
+        ++a;
+      } else if (a == rq.knn_answer.size() || fresh[b] < rq.knn_answer[a]) {
+        out->push_back(Update::Positive(qid, fresh[b]));
+        ++b;
+      } else {
+        ++a;
+        ++b;
+      }
+    }
+    rq.knn_answer = std::move(fresh);
+    rq.knn_dist2 = neighbors.size() == static_cast<size_t>(rq.k)
+                       ? neighbors.back().dist2
+                       : kInf;
+    ++stats->knn_reevaluations;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1476,13 +1012,9 @@ std::vector<int> ShardedEngine::QueryShards(QueryId id) const {
   return std::vector<int>(it->second.shards.begin(), it->second.shards.end());
 }
 
-Result<std::vector<ObjectId>> ShardedEngine::CurrentAnswer(QueryId id) const {
+std::vector<ObjectId> ShardedEngine::CurrentAnswer(QueryId id) const {
   auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
+  STQ_CHECK(it != queries_.end()) << "answer of unknown query " << id;
   if (it->second.kind == QueryKind::kKnn) return it->second.knn_answer;
   std::vector<ObjectId> answer;
   if (auto mit = members_.find(id); mit != members_.end()) {
@@ -1542,14 +1074,9 @@ void ShardedEngine::ForEachQueryInfo(
   }
 }
 
-Result<std::vector<ObjectId>> ShardedEngine::EvaluateFromScratch(
-    QueryId id) const {
+std::vector<ObjectId> ShardedEngine::EvaluateFromScratch(QueryId id) const {
   auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
+  STQ_CHECK(it != queries_.end()) << "recomputing unknown query " << id;
   const RoutedQuery& rq = it->second;
   std::vector<ObjectId> answer;
   if (rq.kind == QueryKind::kKnn) {
@@ -1603,15 +1130,6 @@ std::vector<KnnEvaluator::Neighbor> ShardedEngine::SearchKnn(
     }
   }
   return merged;
-}
-
-Result<std::vector<ObjectId>> ShardedEngine::EvaluatePastRangeQuery(
-    const Rect& region, Timestamp t) const {
-  if (history_ == nullptr) {
-    return Status::FailedPrecondition(
-        "past queries require QueryProcessorOptions::record_history");
-  }
-  return history_->RangeAt(ClampRegion(region), t);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,33 +4,45 @@
 // shard owns a complete single-grid QueryProcessor — its own GridIndex,
 // object/query/answer stores — and runs its incremental tick
 // independently; shards with pending work tick in parallel on the
-// engine's ThreadPool. A router in front of the shards:
+// engine's ThreadPool. QueryProcessor stays the one ingestion front: it
+// validates, clamps and buffers every report once, and each tick hands
+// the drained, id-ordered batch to ShardedEngine::TickBatch, which runs
+// five named phases:
 //
-//   * routes incoming object updates and query regions to the minimal
-//     set of shards that can ever observe them (the paper's
-//     cell-clipping rule at shard granularity, tightened to seam-band
-//     replication): a sampled object lives in exactly its home shard; a
-//     predictive object is replicated only into shards its exact
-//     trajectory segment passes through (not the segment's bounding
-//     box, which over-replicates diagonal movers into corner shards); a
-//     range/predictive query registers in every shard its (clamped)
-//     region overlaps, and a circle query only in shards its disk
-//     actually reaches — each shard engine further clamps the region to
-//     its own bounds;
-//   * deduplicates the per-shard positive/negative update streams with a
-//     per-(query, object) reference count: a global update is emitted
-//     only when the count transitions 0 <-> positive, so an object
-//     handed from one shard to another (a cancelling -/+ pair) or
-//     matched by several replicas yields no spurious updates. The
-//     per-shard streams are pre-combined on the worker pool by a
-//     deterministic pairwise reduction tree (sorted delta streams with
-//     per-pair (delta, positive-count) sums — associative, so any
-//     pairing yields the same root stream); only the final refcount
-//     application against the router's committed answers runs serially;
-//   * merges the result into one canonical, deterministically ordered
-//     stream (CanonicalizeUpdates), byte-identical to the single-grid
-//     QueryProcessor's stream — the property the sharded differential
-//     tests pin down.
+//   rebalance  (adaptive mode) move the shard boundaries when the home
+//              load is skewed, handing every routed entity to its new
+//              owners through one primed sub-batch per shard;
+//   route      split the batch into per-shard sub-batches of the same
+//              records a single grid ticks on — the minimal set of
+//              shards that can ever observe each report (the paper's
+//              cell-clipping rule at shard granularity, tightened to
+//              seam-band replication): a sampled object lives in exactly
+//              its home shard; a predictive object is replicated only
+//              into shards its exact trajectory segment passes through
+//              (not the segment's bounding box, which over-replicates
+//              diagonal movers into corner shards); a range/predictive
+//              query registers in every shard its region overlaps, with
+//              the region clamped to the shard's rect, and a circle query
+//              only in shards its disk actually reaches. A query leaving
+//              a shard is queued as a capture of its committed answer
+//              there plus an unregistration;
+//   shard tick each shard task reads its captures, applies its sub-batch
+//              through the shard's batch tick (the single grid's phases)
+//              and sorts its deltas into a leaf merge stream;
+//   merge      a deterministic pairwise reduction tree combines the leaf
+//              streams on the worker pool (sorted delta streams with
+//              per-pair (delta, positive-count) sums — associative, so
+//              any pairing yields the same root stream); then a
+//              per-(query, object) reference count, applied serially,
+//              emits a global update only when the count transitions
+//              0 <-> positive, so an object handed from one shard to
+//              another (a cancelling -/+ pair) or matched by several
+//              replicas yields no spurious updates;
+//   router k-NN re-evaluate the dirty k-NN queries (below).
+//
+// The front then seals the tick (canonical order), byte-identical to the
+// single-grid stream — the property the sharded differential tests pin
+// down.
 //
 // k-NN queries are evaluated at the router: the home shard (the one
 // containing the focal point) answers first, and the answer circle's
@@ -41,24 +53,24 @@
 // See DESIGN.md, "Sharded execution", for the determinism argument.
 //
 // Concurrency contract: shard state carries no locks by design. The
-// tick's serial route phase only computes routing decisions and records
-// per-shard operation batches; the expensive work — applying each
-// shard's batch (ingestion), the shard tick itself, and building the
-// shard's sorted merge-delta stream — runs inside the shard's pool
-// task, claimed via ThreadPool::RunDynamic (work-stealing over the
-// touched shards, largest batch first, so a straggler never serializes
-// the tick behind a static partition). Whichever worker claims a shard
-// owns that shard's QueryProcessor and output slots exclusively until
-// the join; router maps and scratch are written only by the caller
-// thread between forks, and the parallel tasks read them strictly
-// read-only. The fork and join barriers inside ThreadPool::RunShards
-// (which RunDynamic is built on) run under the pool's annotated
-// stq::Mutex, so every per-shard write made by a worker happens-before
-// the router's merge that follows the call. The reduction-tree merge
-// reuses the same contract: each tree node is merged by exactly one
-// worker into its own output buffer. The capability annotations live
-// where the sharing actually happens: common/thread_pool.h. See
-// DESIGN.md, "Static analysis & concurrency contracts".
+// serial route phase only computes routing decisions and fills the
+// per-shard sub-batches; the expensive work — reading the captures,
+// applying the sub-batch, the shard tick itself, and building the
+// shard's sorted merge-delta stream — runs inside the shard's pool task,
+// claimed via ThreadPool::RunDynamic (work-stealing over the touched
+// shards, largest sub-batch first, so a straggler never serializes the
+// tick behind a static partition). Whichever worker claims a shard owns
+// that shard's QueryProcessor and output slots exclusively until the
+// join; router maps and scratch are written only by the caller thread
+// between forks, and the parallel tasks read them strictly read-only.
+// The fork and join barriers inside ThreadPool::RunShards (which
+// RunDynamic is built on) run under the pool's annotated stq::Mutex, so
+// every per-shard write made by a worker happens-before the router's
+// merge that follows the call. The reduction-tree merge reuses the same
+// contract: each tree node is merged by exactly one worker into its own
+// output buffer. The capability annotations live where the sharing
+// actually happens: common/thread_pool.h. See DESIGN.md, "Static
+// analysis & concurrency contracts".
 
 #ifndef STQ_CORE_SHARDED_SERVER_H_
 #define STQ_CORE_SHARDED_SERVER_H_
@@ -66,15 +78,13 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "stq/common/flat_hash.h"
-#include "stq/common/result.h"
 #include "stq/common/small_vector.h"
-#include "stq/common/status.h"
 #include "stq/common/thread_pool.h"
-#include "stq/core/history_store.h"
 #include "stq/core/knn_evaluator.h"
 #include "stq/core/options.h"
 #include "stq/core/query_processor.h"
@@ -93,32 +103,6 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  // --- Mirror of the QueryProcessor ingestion API ---------------------------
-  // Same buffering, coalescing, clamping and validation semantics; both
-  // engines accept/reject every call identically (the differential tests
-  // rely on this to keep workloads in lockstep).
-
-  Status UpsertObject(ObjectId id, const Point& loc, Timestamp t);
-  Status UpsertPredictiveObject(ObjectId id, const Point& loc,
-                                const Velocity& vel, Timestamp t);
-  Status RemoveObject(ObjectId id);
-
-  Status RegisterRangeQuery(QueryId id, const Rect& region);
-  Status MoveRangeQuery(QueryId id, const Rect& region);
-  Status RegisterKnnQuery(QueryId id, const Point& center, int k);
-  Status MoveKnnQuery(QueryId id, const Point& center);
-  Status RegisterCircleQuery(QueryId id, const Point& center, double radius);
-  Status MoveCircleQuery(QueryId id, const Point& center);
-  Status RegisterPredictiveQuery(QueryId id, const Rect& region, double t_from,
-                                 double t_to);
-  Status MovePredictiveQuery(QueryId id, const Rect& region);
-  Status UnregisterQuery(QueryId id);
-
-  TickResult EvaluateTick(Timestamp now);
-  // As EvaluateTick, but reuses `result`'s buffers (cleared, capacity
-  // kept) — the facade's steady-state entry point.
-  void EvaluateTickInto(Timestamp now, TickResult* result);
-
   // --- Introspection --------------------------------------------------------
 
   const QueryProcessorOptions& options() const { return options_; }
@@ -129,10 +113,6 @@ class ShardedEngine {
   }
   size_t num_objects() const { return objects_.size(); }
   size_t num_queries() const { return queries_.size(); }
-  size_t pending_reports() const {
-    return buffer_.pending_object_ops() + buffer_.pending_query_ops();
-  }
-  bool HasQuery(QueryId id) const { return queries_.contains(id); }
 
   const QueryProcessor& shard(int s) const { return *shards_[s]; }
   QueryProcessor& shard_for_testing(int s) { return *shards_[s]; }
@@ -142,12 +122,14 @@ class ShardedEngine {
   std::vector<int> ObjectShards(ObjectId id) const;
   std::vector<int> QueryShards(QueryId id) const;
 
-  Result<std::vector<ObjectId>> CurrentAnswer(QueryId id) const;
+  // Committed answer / from-scratch recomputation of a query the router
+  // holds (QueryProcessor checks that it exists), sorted by object id.
+  std::vector<ObjectId> CurrentAnswer(QueryId id) const;
+  std::vector<ObjectId> EvaluateFromScratch(QueryId id) const;
   bool GetAnswerSet(QueryId id, AnswerSet* out) const;
   // Summed bytes_resident over every shard's live answer sets — covers
   // all shards, ticked or not, so the metric never under-reports.
   size_t AnswerBytesResident() const;
-  Result<std::vector<ObjectId>> EvaluateFromScratch(QueryId id) const;
 
   // Router-level views matching QueryProcessor::ForEach*Info (iteration
   // order unspecified; qlist_size is 0 — QLists live in the shards).
@@ -164,23 +146,19 @@ class ShardedEngine {
   std::vector<KnnEvaluator::Neighbor> SearchKnn(const Point& center,
                                                 int k) const;
 
-  const HistoryStore* history() const { return history_.get(); }
-  Result<std::vector<ObjectId>> EvaluatePastRangeQuery(const Rect& region,
-                                                       Timestamp t) const;
-
   // One committed shard-boundary move (adaptive rebalancing). Decisions
   // are a pure function of committed router state at a tick boundary, so
   // every worker count replays the same history — the rebalance
   // differential tests pin this down.
   struct ShardRebalanceEvent {
-    int64_t tick_index = 0;  // EvaluateTick ordinal (1-based) it ran in
+    int64_t tick_index = 0;  // tick ordinal (1-based) it ran in
     Timestamp time = 0.0;    // the tick's `now`
     std::vector<double> x_edges;
     std::vector<double> y_edges;
     size_t moved_objects = 0;  // objects whose shard set changed
   };
   const std::vector<ShardRebalanceEvent>& rebalance_history() const {
-    return rebalance_history_;
+    return rebalances_;
   }
 
   // Cross-shard invariants, appended to `violations` (up to
@@ -198,6 +176,8 @@ class ShardedEngine {
                        std::vector<std::string>* violations) const;
 
  private:
+  friend class QueryProcessor;
+
   // The routing fan-out of one entity; a handful of shard indices at
   // most, so it lives inline in the record.
   using ShardList = SmallVector<int, 4>;
@@ -224,12 +204,52 @@ class ShardedEngine {
     double knn_dist2 = std::numeric_limits<double>::infinity();
   };
 
-  // Ingestion mirrors (same semantics as QueryProcessor's privates).
-  double LatestKnownReportTime(ObjectId id) const;
-  Point ClampLocation(const Point& loc) const;
-  Rect ClampRegion(const Rect& region) const;
-  Status ValidateQueryRegistration(QueryId id) const;
-  Result<QueryKind> EffectiveQueryKind(QueryId id) const;
+  // The front's two lookups, answered from the routed records (see
+  // QueryProcessor::AppliedReportTime / FindCommittedQuery).
+  std::optional<Timestamp> AppliedReportTime(ObjectId id) const;
+  std::optional<QueryProcessor::CommittedQuery> FindCommittedQuery(
+      QueryId id) const;
+
+  // The batch tick, called by QueryProcessor's front with the drained,
+  // id-ordered batch: runs the phases below in order and appends the
+  // merged (not yet canonicalized) stream to `out`.
+  void TickBatch(const ReportBatch& batch, Timestamp now,
+                 std::vector<Update>* out, TickStats* stats);
+
+  // --- Phases (one per TickStats timer) -------------------------------------
+  // Adaptive shard rebalancing: when the committed home-shard load is
+  // imbalanced past options_.adaptive.rebalance_imbalance, recompute
+  // cell-aligned slab boundaries from the marginal load histograms,
+  // rebuild the shard engines and deterministically hand every routed
+  // entity off to its new owners. Runs before the batch is routed, so
+  // shard engines are quiescent. (rebalance_seconds)
+  void MaybeRebalance(Timestamp now, TickStats* stats);
+  // Updates the routed records and fills the per-shard sub-batches,
+  // captures, query resets and k-NN events. (shard_route_seconds)
+  void Route(const ReportBatch& batch, TickStats* stats);
+  // Each touched shard reads its captures, applies its sub-batch and
+  // builds its leaf merge stream, in parallel. (shard_tick_*)
+  void TickShards(Timestamp now, TickStats* stats);
+  // Reduction tree over the leaf streams, then the serial refcount apply
+  // and the reset negatives. (shard_merge_seconds)
+  void Merge(const ReportBatch& batch, std::vector<Update>* out);
+  // Re-evaluates the k-NN queries dirtied by a focal move or by this
+  // tick's object events. (shard_knn_seconds)
+  void RefreshKnn(std::vector<Update>* out, TickStats* stats);
+
+  // Route helpers.
+  void RouteObjects(const ReportBatch& batch, TickStats* stats);
+  void RouteQueryChange(const PendingQueryChange& c, TickStats* stats);
+  void DropRoutedQuery(QueryId qid, TickStats* stats);
+  // Appends `c` to shard `s`'s sub-batch. A Register right after an
+  // Unregister of the same id (a re-registration routed to a shard the
+  // old incarnation also used) folds into the Register, as the shard's
+  // own buffer would have folded it.
+  void PushQueryChange(int s, const PendingQueryChange& c);
+  // The registration of `rq` in shard `s`: its region clamped to the
+  // shard rect (range/predictive), or its circle.
+  PendingQueryChange ShardRegistration(QueryId qid, const RoutedQuery& rq,
+                                       int s) const;
 
   // The shards `rq` should route to given its current geometry (cleared
   // and refilled; out-params so steady-state routing reuses capacity).
@@ -237,23 +257,15 @@ class ShardedEngine {
   // The shards a (pending) object report routes to.
   void RouteShardsOfObject(const PendingObjectUpsert& u, ShardList* out) const;
 
-  // The per-shard QueryProcessor options for shard `s` under the current
-  // ShardMap (uniform or post-rebalance explicit boundaries).
-  QueryProcessorOptions BuildShardOptions(int s) const;
-  // Adaptive shard rebalancing: when the committed home-shard load is
-  // imbalanced past options_.adaptive.rebalance_imbalance, recompute
-  // cell-aligned slab boundaries from the marginal load histograms,
-  // rebuild the shard engines and deterministically hand every routed
-  // entity off to its new owners. Runs at the top of the tick, before
-  // the pending report batch is drained, so shard engines are quiescent.
-  void MaybeRebalance(Timestamp now, TickStats* stats);
+  // A single-grid engine for shard `s` under the current ShardMap
+  // (uniform or post-rebalance explicit boundaries), with the global
+  // cell geometry.
+  std::unique_ptr<QueryProcessor> MakeShard(int s) const;
 
   QueryProcessorOptions options_;
   ShardMap map_;
-  std::unique_ptr<HistoryStore> history_;  // null unless record_history
-  std::unique_ptr<ThreadPool> pool_;       // null when worker count is 1
+  std::unique_ptr<ThreadPool> pool_;  // null when worker count is 1
   std::vector<std::unique_ptr<QueryProcessor>> shards_;
-  UpdateBuffer buffer_;
   FlatMap<ObjectId, RoutedObject> objects_;
   FlatMap<QueryId, RoutedQuery> queries_;
   // Per-(query, object) shard-membership reference counts for non-k-NN
@@ -264,6 +276,8 @@ class ShardedEngine {
   // moved or freshly registered; object-driven dirtiness is derived from
   // the tick's report batch).
   FlatSet<QueryId> knn_dirty_;
+  // The previous tick's time: a rebalance primes the rebuilt shards at
+  // it, reproducing their answers as of the last committed tick.
   Timestamp last_tick_time_ = 0.0;
 
   // Adaptive rebalancing state. The cell-cut vectors mirror the
@@ -271,13 +285,13 @@ class ShardedEngine {
   // (size sx+1 / sy+1); empty while the map is uniform.
   std::vector<int> x_cell_cuts_;
   std::vector<int> y_cell_cuts_;
-  std::vector<ShardRebalanceEvent> rebalance_history_;
-  int64_t tick_index_ = 0;           // EvaluateTick calls so far
+  std::vector<ShardRebalanceEvent> rebalances_;
+  int64_t tick_index_ = 0;           // ticks so far
   int64_t last_rebalance_tick_ = 0;  // 0 = never; cooldown anchor
 
-  // Tick-scoped scratch reused across EvaluateTick calls; every container
-  // is cleared before use, so no state carries over — only capacity does
-  // (see DESIGN.md, "Memory layout & allocation discipline"). The
+  // Tick-scoped scratch reused across ticks; every container is cleared
+  // before use, so no state carries over — only capacity does (see
+  // DESIGN.md, "Memory layout & allocation discipline"). The
   // MergeEntry/Reset/KnnEvent element types are private to the .cc, so
   // the buffers they need are declared there via this opaque holder.
   struct TickScratch;

@@ -21,8 +21,8 @@ void CanonicalizeUpdates(std::vector<Update>* updates) {
             });
   // Drop cancelling (-,+) pairs for the same (query, object). After the
   // sort above, such a pair is adjacent with the negative first.
-  // Compacted in place: this runs once per shard per tick, so a
-  // temporary output vector would allocate on every tick.
+  // Compacted in place: this runs once per tick, so a temporary output
+  // vector would allocate on every tick.
   size_t w = 0;
   for (size_t i = 0; i < updates->size(); ++i) {
     const Update& u = (*updates)[i];

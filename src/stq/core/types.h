@@ -5,6 +5,7 @@
 #ifndef STQ_CORE_TYPES_H_
 #define STQ_CORE_TYPES_H_
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -115,6 +116,24 @@ struct TickStats {
            query_pass_seconds + object_match_seconds + object_apply_seconds +
            knn_search_seconds + knn_apply_seconds;
   }
+};
+
+// Accumulates the enclosing scope's wall time into a TickStats field.
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(double* sink)
+      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
+  ~PhaseTimer() {
+    *sink_ += std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start_)
+                  .count();
+  }
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+ private:
+  double* sink_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 // The output of one evaluation period: the full stream of incremental

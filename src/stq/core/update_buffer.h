@@ -53,6 +53,24 @@ struct PendingQueryChange {
   double t_to = 0.0;
 };
 
+// One tick's drained reports, each list in ascending id order with at
+// most one entry per id: what QueryProcessor's front hands an engine's
+// batch tick, and what the sharded router hands each shard.
+struct ReportBatch {
+  std::vector<PendingObjectUpsert> upserts;
+  std::vector<ObjectId> removals;
+  std::vector<PendingQueryChange> query_changes;
+
+  size_t size() const {
+    return upserts.size() + removals.size() + query_changes.size();
+  }
+  void clear() {
+    upserts.clear();
+    removals.clear();
+    query_changes.clear();
+  }
+};
+
 class UpdateBuffer {
  public:
   UpdateBuffer() = default;

@@ -85,7 +85,7 @@ TEST(AllocBudgetTest, ShardedSteadyStateTickStaysUnderBudget) {
                                                   /*workers=*/4);
   std::printf("steady-state worst allocs/tick (4 shards): %llu\n",
               static_cast<unsigned long long>(worst));
-  // With per-shard op batches, leaf streams, reduction-tree buffers and
+  // With per-shard sub-batches, leaf streams, reduction-tree buffers and
   // result envelopes all living in the router's TickScratch, the sharded
   // steady state sits within a few dozen allocations of the single-grid
   // engine's (the remainder is std::function dispatch in the pool). Keep

@@ -496,7 +496,7 @@ TEST(CrashTortureTest, RandomizedTornCrashesRecoverToAckedPrefix) {
 }
 
 // The same deterministic sweep with the engine running 4 spatial
-// shards: recovery replays through the sharded facade, and the post-
+// shards: recovery replays through the sharded engine, and the post-
 // recovery audit includes the per-shard and cross-shard checks. A stride
 // keeps this leg cheaper than the exhaustive single-grid sweep while
 // still covering crash points in every phase of the workload.

@@ -132,15 +132,26 @@ TEST(HistoryStoreTest, PruneDropsDeadTombstones) {
   EXPECT_EQ(history.num_objects_tracked(), 0u);
 }
 
-TEST(PastQueryTest, RequiresHistoryOption) {
-  QueryProcessor qp;  // record_history defaults to false
+// History lives in the ingestion front, so past queries answer the same
+// on the single grid and on a sharded engine.
+class PastQueryTest : public ::testing::TestWithParam<int> {
+ protected:
+  QueryProcessorOptions Options() const {
+    QueryProcessorOptions options;
+    options.num_shards = GetParam();
+    return options;
+  }
+};
+
+TEST_P(PastQueryTest, RequiresHistoryOption) {
+  QueryProcessor qp(Options());  // record_history defaults to false
   EXPECT_EQ(qp.history(), nullptr);
   EXPECT_EQ(qp.EvaluatePastRangeQuery(Rect{0, 0, 1, 1}, 0.0).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST(PastQueryTest, AnswersMatchThePastStates) {
-  QueryProcessorOptions options;
+TEST_P(PastQueryTest, AnswersMatchThePastStates) {
+  QueryProcessorOptions options = Options();
   options.record_history = true;
   QueryProcessor qp(options);
   ASSERT_NE(qp.history(), nullptr);
@@ -164,8 +175,8 @@ TEST(PastQueryTest, AnswersMatchThePastStates) {
 
 // Property: for a random report stream, a past query at any recorded tick
 // time equals the present-time answer that was current at that tick.
-TEST(PastQueryTest, PastAnswersEqualHistoricalPresentAnswers) {
-  QueryProcessorOptions options;
+TEST_P(PastQueryTest, PastAnswersEqualHistoricalPresentAnswers) {
+  QueryProcessorOptions options = Options();
   options.record_history = true;
   options.grid_cells_per_side = 8;
   QueryProcessor qp(options);
@@ -201,6 +212,8 @@ TEST(PastQueryTest, PastAnswersEqualHistoricalPresentAnswers) {
         << "past answer diverged at tick " << tick;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, PastQueryTest, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace stq
