@@ -3,40 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "stq/common/check.h"
 
 namespace stq {
 
-std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
-                                                         int k) const {
-  std::vector<Neighbor> result;
-  if (k <= 0 || state_.objects->empty()) return result;
+void KnnEvaluator::KBest::Offer(const Neighbor& n) {
+  if (capacity == 0 || (size == capacity && !(n < slots[size - 1]))) return;
+  Neighbor* const end = slots + size;
+  Neighbor* const pos = std::lower_bound(slots, end, n);
+  if (pos != end && !(n < *pos)) return;  // exact repeat
+  if (size < capacity) ++size;
+  std::copy_backward(pos, slots + size - 1, slots + size);
+  *pos = n;
+}
+
+void KnnEvaluator::Search(const Point& center, KBest* best) const {
+  if (best->capacity == 0 || state_.objects->empty()) return;
 
   const GridIndex& grid = *state_.grid;
-  const size_t want = static_cast<size_t>(k);
-
-  // Max-heap of the k best candidates found so far (top = worst kept).
-  std::priority_queue<Neighbor> best;
-  // Predictive objects are clipped into several cells; visit each id once.
-  // Local (not member scratch): Search runs concurrently across pool
-  // workers, so per-call state is the thread-safe choice.
-  FlatSet<ObjectId> seen;
-
   const CellCoord cc = grid.CellOf(center);
   const Rect& bounds = grid.bounds();
-
-  auto worst_dist2 = [&]() {
-    return best.size() == want ? best.top().dist2
-                               : std::numeric_limits<double>::infinity();
-  };
 
   for (int ring = 0;; ++ring) {
     // Lower bound on the distance to anything not yet scanned: the
     // distance from `center` to the boundary of the block of cells with
     // Chebyshev ring index <= ring-1 (i.e., everything fully scanned).
-    if (ring > 0 && best.size() == want) {
+    if (ring > 0 && best->size == best->capacity) {
       const double block_min_x =
           bounds.min_x + (cc.x - (ring - 1)) * grid.cell_width();
       const double block_max_x =
@@ -48,43 +41,42 @@ std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
       const double lb = std::min(
           std::min(center.x - block_min_x, block_max_x - center.x),
           std::min(center.y - block_min_y, block_max_y - center.y));
-      if (lb >= 0.0 && lb * lb > worst_dist2()) break;
+      if (lb >= 0.0 && lb * lb > best->Bound()) break;
     }
 
     const bool any_in_bounds = grid.ForEachCellInRing(
         cc, ring, [&](const CellCoord& c) {
-          // Prune cells that cannot beat the current k-th distance.
-          const double cell_dist = grid.CellBounds(c).DistanceTo(center);
-          if (best.size() == want && cell_dist * cell_dist > worst_dist2()) {
+          // Skip a cell, then a slot, that cannot beat the current k-th
+          // distance. The bound is `>`, so exact ties are still read.
+          if (grid.CellBounds(c).SquaredDistanceTo(center) > best->Bound()) {
             return;
           }
-          grid.ForEachObjectInCell(c, [&](ObjectId oid) {
-            if (!seen.insert(oid).second) return;
-            const ObjectRecord* o = state_.objects->Find(oid);
-            STQ_DCHECK(o != nullptr);
-            const Neighbor cand{SquaredDistance(center, o->loc), oid};
-            if (best.size() < want) {
-              best.push(cand);
-            } else if (cand < best.top()) {
-              best.pop();
-              best.push(cand);
-            }
-          });
+          grid.ForEachObjectSlotInCell(
+              c, center, [&](const Rect& slot, std::span<const ObjectId> ids) {
+                if (slot.SquaredDistanceTo(center) > best->Bound()) return;
+                for (ObjectId oid : ids) {
+                  const ObjectRecord* o = state_.objects->Find(oid);
+                  STQ_DCHECK(o != nullptr);
+                  best->Offer(Neighbor{SquaredDistance(center, o->loc), oid});
+                }
+              });
         });
     if (!any_in_bounds && ring > 0) break;  // grid exhausted
   }
+}
 
-  result.reserve(best.size());
-  while (!best.empty()) {
-    result.push_back(best.top());
-    best.pop();
-  }
-  std::reverse(result.begin(), result.end());
+std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
+                                                         int k) const {
+  std::vector<Neighbor> result(
+      k <= 0 ? 0 : std::min(static_cast<size_t>(k), state_.objects->size()));
+  KBest best{result.data(), result.size(), 0};
+  Search(center, &best);
+  result.resize(best.size);
   return result;
 }
 
 void KnnEvaluator::ApplyAnswer(QueryRecord* q,
-                               const std::vector<Neighbor>& neighbors,
+                               std::span<const Neighbor> neighbors,
                                std::vector<Update>* out) {
   FlatSet<ObjectId>& fresh = fresh_scratch_;
   fresh.clear();
@@ -142,53 +134,61 @@ void KnnEvaluator::ApplyAnswer(QueryRecord* q,
 
 size_t KnnEvaluator::ReevaluateDirty(std::vector<Update>* out,
                                      ThreadPool* pool) {
-  return ApplyDirty(SearchDirty(pool), out);
+  SearchDirty(pool);
+  return ApplyDirty(out);
 }
 
-std::vector<KnnEvaluator::DirtyAnswer> KnnEvaluator::SearchDirty(
-    ThreadPool* pool) {
+void KnnEvaluator::SearchDirty(ThreadPool* pool) {
   // Deterministic processing order regardless of hash iteration.
   std::vector<QueryId>& ids = dirty_ids_scratch_;
   ids.assign(dirty_.begin(), dirty_.end());
   std::sort(ids.begin(), ids.end());
   dirty_.clear();
 
-  std::vector<DirtyAnswer> answers;
-  answers.reserve(ids.size());
+  // One slot of min(k, objects) neighbours per still-live k-NN query.
+  std::vector<DirtyAnswer>& answers = answers_scratch_;
+  answers.clear();
+  const size_t population = state_.objects->size();
+  size_t total = 0;
   for (QueryId qid : ids) {
     const QueryRecord* q = state_.queries->Find(qid);
     if (q == nullptr || q->kind != QueryKind::kKnn) continue;
-    answers.push_back(DirtyAnswer{qid, {}});
+    const size_t capacity = std::min(static_cast<size_t>(q->k), population);
+    answers.push_back(DirtyAnswer{qid, total, capacity, 0});
+    total += capacity;
   }
+  neighbors_scratch_.resize(total);
 
   // The searches touch only const state (grid cells, object locations),
-  // never the answer sets or footprints ApplyDirty rewrites, so sharding
-  // them is race-free and the per-slot results match a serial run.
-  auto search_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const QueryRecord* q = state_.queries->Find(answers[i].qid);
-      answers[i].neighbors = Search(q->circle.center, q->k);
-    }
+  // never the answer sets or footprints ApplyDirty rewrites, and each
+  // writes only its own slot, so running them concurrently is race-free
+  // and the slots match a serial run.
+  auto search_one = [&](size_t i) {
+    DirtyAnswer& a = answers[i];
+    KBest best{neighbors_scratch_.data() + a.begin, a.capacity, 0};
+    Search(state_.queries->Find(a.qid)->circle.center, &best);
+    a.size = best.size;
   };
   if (pool != nullptr && pool->num_workers() > 1 && answers.size() > 1) {
-    pool->RunShards(answers.size(), [&](int /*shard*/, size_t begin,
-                                        size_t end) {
-      search_range(begin, end);
-    });
+    pool->RunDynamic(answers.size(), search_one);
   } else {
-    search_range(0, answers.size());
+    for (size_t i = 0; i < answers.size(); ++i) search_one(i);
   }
-  return answers;
 }
 
-size_t KnnEvaluator::ApplyDirty(const std::vector<DirtyAnswer>& answers,
-                                std::vector<Update>* out) {
+size_t KnnEvaluator::ApplyDirty(std::vector<Update>* out) {
+  std::vector<DirtyAnswer>& answers = answers_scratch_;
   for (const DirtyAnswer& a : answers) {
     QueryRecord* q = state_.queries->FindMutable(a.qid);
     STQ_DCHECK(q != nullptr);
-    ApplyAnswer(q, a.neighbors, out);
+    ApplyAnswer(q,
+                std::span<const Neighbor>(neighbors_scratch_.data() + a.begin,
+                                          a.size),
+                out);
   }
-  return answers.size();
+  const size_t applied = answers.size();
+  answers.clear();  // consumed: a second call applies nothing
+  return applied;
 }
 
 }  // namespace stq

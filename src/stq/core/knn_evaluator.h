@@ -7,13 +7,17 @@
 // A k-NN query becomes *dirty* when its focal point moves, when an answer
 // member moves or disappears, or when some object moves inside the answer
 // circle. Only dirty queries are re-evaluated; the re-evaluation performs
-// an expanding-ring search over the grid and the answer delta is shipped
-// as +/- updates (paper, Example II).
+// an expanding-ring search over the grid that reads only the slots that
+// can hold a neighbour, and the answer delta is shipped as +/- updates
+// (paper, Example II).
 
 #ifndef STQ_CORE_KNN_EVALUATOR_H_
 #define STQ_CORE_KNN_EVALUATOR_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "stq/common/flat_hash.h"
@@ -32,8 +36,7 @@ class KnnEvaluator {
   size_t num_dirty() const { return dirty_.size(); }
 
   // Exact k-NN search over the grid: the k objects nearest to `center`,
-  // ties broken by object id, returned sorted by (distance^2, id).
-  // Exposed for tests and for the processor's from-scratch evaluation.
+  // ties broken by object id, sorted by (distance^2, id).
   struct Neighbor {
     double dist2 = 0.0;
     ObjectId id = 0;
@@ -43,41 +46,100 @@ class KnnEvaluator {
       return a.id < b.id;
     }
   };
+
+  // The running k best of a search: caller-owned room for `capacity`
+  // neighbours, of which the first `size` are filled, sorted by
+  // (dist2, id). A search only offers candidates to it, so one list can
+  // be passed through several grids (the sharded router's per-shard
+  // pass). Size `capacity` as min(k, objects) so a huge k cannot demand
+  // more room than there are objects to find.
+  struct KBest {
+    Neighbor* slots = nullptr;
+    size_t capacity = 0;
+    size_t size = 0;
+
+    // The squared distance a candidate must not exceed to enter: the
+    // worst kept neighbour's once the list is full, +inf before.
+    double Bound() const {
+      return size == capacity && size > 0
+                 ? slots[size - 1].dist2
+                 : std::numeric_limits<double>::infinity();
+    }
+    // Inserts `n` in order, dropping the worst when full. An exact
+    // (dist2, id) repeat is dropped: a predictive object clipped into
+    // several slots, or replicated into several shards, is offered once
+    // per copy with the same stored location.
+    void Offer(const Neighbor& n);
+  };
+
+  // Offers every object of the grid that can beat `best`'s bound. Visits
+  // the base cells ring by ring around `center` and, inside each cell,
+  // each slot (one per unrefined cell, each leaf of a refined one),
+  // starting with the slot nearest to `center`; a cell or slot farther
+  // than the bound is skipped unread. Allocates nothing.
+  void Search(const Point& center, KBest* best) const;
+  // The same search into a fresh vector, for tests and cold callers.
   std::vector<Neighbor> Search(const Point& center, int k) const;
+
+  // Brute-force k-NN, the from-scratch oracle both engines answer k-NN
+  // queries with: the ids of the k objects nearest to `center`, in
+  // (dist2, id) order. `for_each_object(visit)` must call
+  // visit(ObjectId, const Point&) once per object.
+  template <typename ForEachObject>
+  static std::vector<ObjectId> NearestByBruteForce(
+      const Point& center, int k, ForEachObject&& for_each_object) {
+    std::vector<Neighbor> all;
+    for_each_object([&](ObjectId id, const Point& loc) {
+      all.push_back(Neighbor{SquaredDistance(center, loc), id});
+    });
+    const size_t keep =
+        std::min(all.size(), static_cast<size_t>(std::max(k, 0)));
+    std::partial_sort(all.begin(), all.begin() + keep, all.end());
+    std::vector<ObjectId> ids;
+    ids.reserve(keep);
+    for (size_t i = 0; i < keep; ++i) ids.push_back(all[i].id);
+    return ids;
+  }
 
   // Re-evaluates every dirty query that still exists: recomputes the k
   // nearest objects, emits the answer delta, updates the circle and
   // re-clips the query's grid footprint. Returns the number of queries
-  // re-evaluated. Equivalent to ApplyDirty(SearchDirty(pool), out); the
-  // update stream is byte-identical for every worker count.
+  // re-evaluated. Equivalent to SearchDirty(pool) then ApplyDirty(out);
+  // the update stream is byte-identical for every worker count.
   size_t ReevaluateDirty(std::vector<Update>* out,
                          ThreadPool* pool = nullptr);
 
   // The two halves of ReevaluateDirty, split so the processor can time
-  // (and parallelize) them independently.
+  // them independently.
   //
   // SearchDirty consumes the dirty set and runs one grid search per
-  // still-live k-NN query, in ascending query id. Searches only READ the
+  // still-live k-NN query, in ascending query id, each into its own slot
+  // of one result buffer reused across ticks. Searches only READ the
   // grid and the stores, so they run concurrently when `pool` has more
-  // than one worker; the returned order is worker-count-invariant.
-  struct DirtyAnswer {
-    QueryId qid = 0;
-    std::vector<Neighbor> neighbors;
-  };
-  std::vector<DirtyAnswer> SearchDirty(ThreadPool* pool = nullptr);
+  // than one worker; the results are worker-count-invariant.
+  void SearchDirty(ThreadPool* pool = nullptr);
 
-  // ApplyDirty replays the freshly computed answers serially, in the
-  // order SearchDirty returned them: emits delta updates, refreshes each
-  // answer circle, re-clips grid footprints. ApplyAnswer mutates nothing
-  // a concurrent Search reads, which is what makes the split sound.
-  size_t ApplyDirty(const std::vector<DirtyAnswer>& answers,
-                    std::vector<Update>* out);
+  // ApplyDirty replays the answers SearchDirty computed serially, in
+  // ascending query id: emits delta updates, refreshes each answer
+  // circle, re-clips grid footprints. ApplyAnswer mutates nothing a
+  // concurrent Search reads, which is what makes the split sound.
+  // Returns the number of queries re-evaluated.
+  size_t ApplyDirty(std::vector<Update>* out);
 
  private:
   // Applies a freshly computed answer to `q`: emits delta updates,
   // updates the circle radius, re-clips the grid footprint.
-  void ApplyAnswer(QueryRecord* q, const std::vector<Neighbor>& neighbors,
+  void ApplyAnswer(QueryRecord* q, std::span<const Neighbor> neighbors,
                    std::vector<Update>* out);
+
+  // One dirty query's search: its neighbours are
+  // [begin, begin + size) of neighbors_scratch_.
+  struct DirtyAnswer {
+    QueryId qid = 0;
+    size_t begin = 0;
+    size_t capacity = 0;
+    size_t size = 0;
+  };
 
   EngineState state_;
   FlatSet<QueryId> dirty_;
@@ -86,6 +148,8 @@ class KnnEvaluator {
   // steady state stops allocating (see DESIGN.md, "Memory layout &
   // allocation discipline").
   std::vector<QueryId> dirty_ids_scratch_;
+  std::vector<DirtyAnswer> answers_scratch_;
+  std::vector<Neighbor> neighbors_scratch_;
   FlatSet<ObjectId> fresh_scratch_;
   std::vector<ObjectId> leavers_scratch_;
 };

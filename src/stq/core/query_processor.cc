@@ -907,13 +907,12 @@ void QueryProcessor::TickBatch(const ReportBatch& batch, Timestamp now,
     RunObjectPass(moved, out, stats);
     // Phase 6: re-evaluate the k-NN queries dirtied by phases 1-5
     // (parallel searches, serial answer application).
-    std::vector<KnnEvaluator::DirtyAnswer> knn_answers;
     {
       PhaseTimer timer(&stats->knn_search_seconds);
-      knn_answers = knn_.SearchDirty(pool_.get());
+      knn_.SearchDirty(pool_.get());
     }
     PhaseTimer timer(&stats->knn_apply_seconds);
-    stats->knn_reevaluations = knn_.ApplyDirty(knn_answers, out);
+    stats->knn_reevaluations = knn_.ApplyDirty(out);
   }
   stats->shards_ticked = 1;
   stats->shard_tick_wall_seconds += tick_wall;
@@ -970,18 +969,13 @@ Result<std::vector<ObjectId>> QueryProcessor::EvaluateFromScratch(
         }
       });
       break;
-    case QueryKind::kKnn: {
-      std::vector<KnnEvaluator::Neighbor> all;
-      all.reserve(objects_.size());
-      objects_.ForEach([&](const ObjectRecord& o) {
-        all.push_back(KnnEvaluator::Neighbor{
-            SquaredDistance(q->circle.center, o.loc), o.id});
-      });
-      const size_t keep = std::min(all.size(), static_cast<size_t>(q->k));
-      std::partial_sort(all.begin(), all.begin() + keep, all.end());
-      for (size_t i = 0; i < keep; ++i) answer.push_back(all[i].id);
+    case QueryKind::kKnn:
+      answer = KnnEvaluator::NearestByBruteForce(
+          q->circle.center, q->k, [&](auto&& visit) {
+            objects_.ForEach(
+                [&](const ObjectRecord& o) { visit(o.id, o.loc); });
+          });
       break;
-    }
   }
   std::sort(answer.begin(), answer.end());
   return answer;

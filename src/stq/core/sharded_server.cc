@@ -17,16 +17,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Exact squared distance from `p` to the closed rect `r`; 0 when inside.
-// Uses the same subtract-then-square arithmetic as SquaredDistance so an
-// object sitting on the nearest rect corner produces bit-identical
-// distances — the k-NN shard-skip rule stays exact under FP rounding.
-double RectDistance2(const Rect& r, const Point& p) {
-  const double dx = std::max({0.0, r.min_x - p.x, p.x - r.max_x});
-  const double dy = std::max({0.0, r.min_y - p.y, p.y - r.max_y});
-  return dx * dx + dy * dy;
-}
-
 // One (query, object) answer-stream delta during the merge. `d` sums the
 // +1/-1 shard updates and the -1 move-away captures for the pair; `plus`
 // counts the positive shard updates alone (a reset query rebuilds its
@@ -90,16 +80,15 @@ void MergeStreams(const std::vector<MergeEntry>& a,
   out->insert(out->end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
 }
 
-// An (object-driven) k-NN dirtiness event: the locations an object report
-// touched this tick. Mirrors the single-grid engine, where a removal
-// re-tests the old location and an upsert both the old membership and the
-// new candidate probes against each answer circle.
-struct KnnEvent {
-  Point old_loc;
-  Point new_loc;
-  bool has_old = false;
-  bool has_new = false;
-};
+// True when some point lies within squared distance `r2` of `center`
+// (closed: a tie counts).
+bool AnyWithin(const std::vector<Point>& points, const Point& center,
+               double r2) {
+  for (const Point& p : points) {
+    if (SquaredDistance(center, p) <= r2) return true;
+  }
+  return false;
+}
 
 // Snapshot of a query that is unregistered (or unregistered and
 // re-registered) within this tick. The single-grid engine ships phase-1
@@ -114,12 +103,23 @@ struct Reset {
   size_t end = 0;
 };
 
+// One router k-NN query in the refresh pass. The parallel half fills
+// `dirty` and, when dirty, neighbours [begin, begin + size) of the shared
+// result buffer; the serial half applies them.
+struct KnnSlot {
+  QueryId qid = 0;
+  size_t begin = 0;
+  size_t capacity = 0;  // min(k, objects)
+  size_t size = 0;
+  bool dirty = false;
+};
+
 }  // namespace
 
 // Tick-scoped working buffers, reused across ticks. Every container is
 // cleared (never shrunk) before use, so the steady-state tick allocates
 // only when a buffer outgrows its previous high-water mark. Defined here
-// because MergeEntry/Reset/KnnEvent are local to this translation unit.
+// because MergeEntry/Reset/KnnSlot are local to this translation unit.
 struct ShardedEngine::TickScratch {
   // Indexed by shard id. The route phase fills the sub-batches and the
   // departing-query captures; the shard's task only reads them.
@@ -137,11 +137,21 @@ struct ShardedEngine::TickScratch {
   std::vector<std::vector<MergeEntry>*> tree_next;
   std::vector<Reset> resets;            // ascending qid (change order)
   std::vector<ObjectId> reset_members;  // flattened Reset snapshots
-  std::vector<KnnEvent> events;
+  // The locations this tick's object reports touched: a removal's old
+  // location, an upsert's new one and, for a known object, its old one.
+  // Mirrors the single-grid engine, where a removal re-tests the old
+  // location and an upsert both the old membership and the new candidate
+  // probes against each answer circle.
+  std::vector<Point> knn_points;
   std::vector<int> ticked;
   std::vector<double> shard_walls;  // indexed by position in `ticked`
   ShardList route_ns;  // routing fan-out of the report being dispatched
-  std::vector<QueryId> knn_dirty_ids;
+  // Router k-NN refresh: one slot per k-NN query (ascending qid), each
+  // owning [begin, begin + capacity) of knn_best, written only by the
+  // worker that claims it.
+  std::vector<KnnSlot> knn_slots;
+  std::vector<KnnEvaluator::Neighbor> knn_best;
+  std::vector<ObjectId> knn_fresh;
 };
 
 ShardedEngine::~ShardedEngine() = default;
@@ -418,7 +428,7 @@ void ShardedEngine::RouteShardsOf(const RoutedQuery& rq,
       // the disk itself never reaches. CircleEvaluator only matches a
       // point inside both the closed disk and the shard bounds, so a
       // shard whose rect lies farther than the radius can never emit for
-      // this query. RectDistance2 under-approximates the distance to
+      // this query. SquaredDistanceTo under-approximates the distance to
       // every in-shard point monotonically under FP rounding, so the
       // filter is exact at the boundary (same closed <= as the disk).
       map_.ShardsOverlapping(rq.circle.BoundingBox().Intersection(map_.universe()),
@@ -426,7 +436,7 @@ void ShardedEngine::RouteShardsOf(const RoutedQuery& rq,
       const double r2 = rq.circle.radius * rq.circle.radius;
       size_t w = 0;
       for (int s : *out) {
-        if (RectDistance2(map_.shard_rect(s), rq.circle.center) <= r2) {
+        if (map_.shard_rect(s).SquaredDistanceTo(rq.circle.center) <= r2) {
           (*out)[w++] = s;
         }
       }
@@ -513,7 +523,7 @@ void ShardedEngine::Route(const ReportBatch& batch, TickStats* stats) {
   }
   scratch.resets.clear();
   scratch.reset_members.clear();
-  scratch.events.clear();
+  scratch.knn_points.clear();
 
   RouteObjects(batch, stats);
   for (const PendingQueryChange& c : batch.query_changes) {
@@ -534,10 +544,7 @@ void ShardedEngine::RouteObjects(const ReportBatch& batch, TickStats* stats) {
         << "buffered removal of unknown object " << id;
     const RoutedObject& ro = it->second;
     for (int s : ro.shards) scratch.batches[s].removals.push_back(id);
-    KnnEvent e;
-    e.old_loc = ro.loc;
-    e.has_old = true;
-    scratch.events.push_back(e);
+    scratch.knn_points.push_back(ro.loc);
     objects_.erase(it);
     ++stats->object_removals_applied;
   }
@@ -546,14 +553,11 @@ void ShardedEngine::RouteObjects(const ReportBatch& batch, TickStats* stats) {
     ShardList& ns = scratch.route_ns;
     RouteShardsOfObject(u, &ns);
     for (int s : ns) scratch.batches[s].upserts.push_back(u);
-    KnnEvent e;
-    e.new_loc = u.loc;
-    e.has_new = true;
+    scratch.knn_points.push_back(u.loc);
     auto [it, inserted] = objects_.try_emplace(u.id);
     RoutedObject& ro = it->second;
     if (!inserted) {
-      e.old_loc = ro.loc;
-      e.has_old = true;
+      scratch.knn_points.push_back(ro.loc);
       // Departed shards: the object hands off; the shard ships its own
       // phase-1 negatives for every answer it participated in there.
       for (int s : ro.shards) {
@@ -567,7 +571,6 @@ void ShardedEngine::RouteObjects(const ReportBatch& batch, TickStats* stats) {
     ro.t = u.t;
     ro.predictive = u.predictive;
     ro.shards = ns;
-    scratch.events.push_back(e);
     ++stats->object_updates_applied;
   }
 }
@@ -931,60 +934,79 @@ void ShardedEngine::Merge(const ReportBatch& batch, std::vector<Update>* out) {
 // --- Router k-NN -------------------------------------------------------------
 
 void ShardedEngine::RefreshKnn(std::vector<Update>* out, TickStats* stats) {
-  const std::vector<KnnEvent>& events = scratch_->events;
-  if (!events.empty()) {
-    for (const auto& [qid, rq] : queries_) {
-      if (rq.kind != QueryKind::kKnn || knn_dirty_.contains(qid)) continue;
-      for (const KnnEvent& e : events) {
-        double d2 = kInf;
-        if (e.has_old) {
-          d2 = std::min(d2, SquaredDistance(rq.circle.center, e.old_loc));
-        }
-        if (e.has_new) {
-          d2 = std::min(d2, SquaredDistance(rq.circle.center, e.new_loc));
-        }
-        // <= mirrors the single-grid candidate probe: exact threshold
-        // ties dirty the query too; an unfilled answer (infinite
-        // threshold) is dirtied by every event.
-        if (d2 <= rq.knn_dist2) {
-          knn_dirty_.insert(qid);
-          break;
-        }
-      }
-    }
+  TickScratch& scratch = *scratch_;
+  std::vector<KnnSlot>& slots = scratch.knn_slots;
+  slots.clear();
+  for (const auto& [qid, rq] : queries_) {
+    if (rq.kind == QueryKind::kKnn) slots.push_back(KnnSlot{qid});
   }
-  std::vector<QueryId>& dirty = scratch_->knn_dirty_ids;
-  dirty.assign(knn_dirty_.begin(), knn_dirty_.end());
-  std::sort(dirty.begin(), dirty.end());
+  std::sort(slots.begin(), slots.end(),
+            [](const KnnSlot& a, const KnnSlot& b) { return a.qid < b.qid; });
+  const size_t population = objects_.size();
+  size_t total = 0;
+  for (KnnSlot& slot : slots) {
+    slot.begin = total;
+    slot.capacity =
+        std::min(static_cast<size_t>(queries_.FindPtr(slot.qid)->k), population);
+    total += slot.capacity;
+  }
+  scratch.knn_best.resize(total);
+
+  // Parallel half: per query, the dirty test, then, if dirty, the search
+  // into the query's own slot. A query is dirty when its focal point
+  // moved or it is new (knn_dirty_), or when a location this tick's
+  // reports touched lies within its k-th distance (<= mirrors the
+  // single-grid candidate probe: an exact tie dirties too, and an
+  // unfilled answer's infinite threshold is reached by every report).
+  // Workers only read the quiescent shards, queries_, knn_dirty_ and
+  // knn_points, and each writes only its own slot.
+  const FlatMap<QueryId, RoutedQuery>& queries = queries_;
+  auto refresh_one = [&](size_t i) {
+    KnnSlot& slot = slots[i];
+    const RoutedQuery& rq = *queries.FindPtr(slot.qid);
+    slot.dirty = knn_dirty_.contains(slot.qid) ||
+                 AnyWithin(scratch.knn_points, rq.circle.center, rq.knn_dist2);
+    if (!slot.dirty) return;
+    KnnEvaluator::KBest best{scratch.knn_best.data() + slot.begin,
+                             slot.capacity, 0};
+    SearchKnn(rq.circle.center, &best);
+    slot.size = best.size;
+  };
+  if (pool_ != nullptr && slots.size() > 1) {
+    pool_->RunDynamic(slots.size(), refresh_one);
+  } else {
+    for (size_t i = 0; i < slots.size(); ++i) refresh_one(i);
+  }
   knn_dirty_.clear();
-  for (QueryId qid : dirty) {
-    auto it = queries_.find(qid);
-    if (it == queries_.end() || it->second.kind != QueryKind::kKnn) continue;
-    RoutedQuery& rq = it->second;
-    const std::vector<KnnEvaluator::Neighbor> neighbors =
-        SearchKnn(rq.circle.center, rq.k);
-    std::vector<ObjectId> fresh;
-    fresh.reserve(neighbors.size());
-    for (const auto& nb : neighbors) fresh.push_back(nb.id);
+
+  // Serial half, in ascending qid: diff each fresh answer against the
+  // committed one (both sorted by id) and commit it.
+  std::vector<ObjectId>& fresh = scratch.knn_fresh;
+  for (const KnnSlot& slot : slots) {
+    if (!slot.dirty) continue;
+    RoutedQuery& rq = *queries_.FindPtr(slot.qid);
+    const KnnEvaluator::Neighbor* neighbors =
+        scratch.knn_best.data() + slot.begin;
+    fresh.clear();
+    for (size_t j = 0; j < slot.size; ++j) fresh.push_back(neighbors[j].id);
     std::sort(fresh.begin(), fresh.end());
-    // Diff against the committed answer (both sorted by id).
     size_t a = 0, b = 0;
     while (a < rq.knn_answer.size() || b < fresh.size()) {
       if (b == fresh.size() ||
           (a < rq.knn_answer.size() && rq.knn_answer[a] < fresh[b])) {
-        out->push_back(Update::Negative(qid, rq.knn_answer[a]));
+        out->push_back(Update::Negative(slot.qid, rq.knn_answer[a]));
         ++a;
       } else if (a == rq.knn_answer.size() || fresh[b] < rq.knn_answer[a]) {
-        out->push_back(Update::Positive(qid, fresh[b]));
+        out->push_back(Update::Positive(slot.qid, fresh[b]));
         ++b;
       } else {
         ++a;
         ++b;
       }
     }
-    rq.knn_answer = std::move(fresh);
-    rq.knn_dist2 = neighbors.size() == static_cast<size_t>(rq.k)
-                       ? neighbors.back().dist2
+    rq.knn_answer.assign(fresh.begin(), fresh.end());
+    rq.knn_dist2 = slot.size == static_cast<size_t>(rq.k)
+                       ? neighbors[slot.size - 1].dist2
                        : kInf;
     ++stats->knn_reevaluations;
   }
@@ -1080,9 +1102,12 @@ std::vector<ObjectId> ShardedEngine::EvaluateFromScratch(QueryId id) const {
   const RoutedQuery& rq = it->second;
   std::vector<ObjectId> answer;
   if (rq.kind == QueryKind::kKnn) {
-    for (const auto& nb : SearchKnn(rq.circle.center, rq.k)) {
-      answer.push_back(nb.id);
-    }
+    // Brute force over the router's records: independent of the grid
+    // search the incremental refresh runs.
+    answer = KnnEvaluator::NearestByBruteForce(
+        rq.circle.center, rq.k, [&](auto&& visit) {
+          for (const auto& [oid, ro] : objects_) visit(oid, ro.loc);
+        });
   } else {
     FlatSet<ObjectId> seen;
     for (int s : rq.shards) {
@@ -1097,39 +1122,29 @@ std::vector<ObjectId> ShardedEngine::EvaluateFromScratch(QueryId id) const {
   return answer;
 }
 
+void ShardedEngine::SearchKnn(const Point& center,
+                              KnnEvaluator::KBest* best) const {
+  const int home = map_.HomeOf(center);
+  shards_[home]->knn_.Search(center, best);
+  for (int s = 0; s < map_.num_shards(); ++s) {
+    // Every object in shard s is at least the rect's distance away; a
+    // shard strictly beyond the current k-th distance cannot contribute.
+    if (s == home ||
+        map_.shard_rect(s).SquaredDistanceTo(center) > best->Bound()) {
+      continue;
+    }
+    shards_[s]->knn_.Search(center, best);
+  }
+}
+
 std::vector<KnnEvaluator::Neighbor> ShardedEngine::SearchKnn(
     const Point& center, int k) const {
-  std::vector<KnnEvaluator::Neighbor> merged;
-  if (k < 1) return merged;
-  const int home = map_.HomeOf(center);
-  merged = shards_[home]->SearchKnn(center, k);
-  double r2 = merged.size() == static_cast<size_t>(k) ? merged.back().dist2
-                                                      : kInf;
-  for (int s = 0; s < map_.num_shards(); ++s) {
-    if (s == home) continue;
-    // Every object in shard s is at least RectDistance2 away; a shard
-    // strictly beyond the current k-th distance cannot contribute.
-    if (RectDistance2(map_.shard_rect(s), center) > r2) continue;
-    const std::vector<KnnEvaluator::Neighbor> part =
-        shards_[s]->SearchKnn(center, k);
-    merged.insert(merged.end(), part.begin(), part.end());
-    std::sort(merged.begin(), merged.end());
-    // Predictive replicas appear in several shards with identical stored
-    // positions; (dist2, id) duplicates are adjacent after the sort.
-    merged.erase(std::unique(merged.begin(), merged.end(),
-                             [](const KnnEvaluator::Neighbor& a,
-                                const KnnEvaluator::Neighbor& b) {
-                               return a.id == b.id && a.dist2 == b.dist2;
-                             }),
-                 merged.end());
-    if (merged.size() > static_cast<size_t>(k)) {
-      merged.resize(static_cast<size_t>(k));
-    }
-    if (merged.size() == static_cast<size_t>(k)) {
-      r2 = merged.back().dist2;
-    }
-  }
-  return merged;
+  std::vector<KnnEvaluator::Neighbor> result(
+      k < 1 ? 0 : std::min(static_cast<size_t>(k), objects_.size()));
+  KnnEvaluator::KBest best{result.data(), result.size(), 0};
+  SearchKnn(center, &best);
+  result.resize(best.size);
+  return result;
 }
 
 // ---------------------------------------------------------------------------

@@ -44,11 +44,15 @@
 // single-grid stream — the property the sharded differential tests pin
 // down.
 //
-// k-NN queries are evaluated at the router: the home shard (the one
-// containing the focal point) answers first, and the answer circle's
-// radius bounds an expanding-circle re-dispatch to every other shard
-// whose rect intersects the circle (the paper's k-NN-as-circle-range
-// trick, across shards). Per-shard engines therefore hold no k-NN state.
+// k-NN queries are evaluated at the router, in one parallel pass over
+// them: each worker tests a query for dirtiness and, if dirty, searches
+// it into the query's own slot of a shared result buffer; the answers are
+// then diffed and committed serially in qid order. A search passes one
+// running k-best list through the home shard (the one containing the
+// focal point), then through every other shard whose rect lies within
+// the current k-th distance (the paper's k-NN-as-circle-range trick,
+// across shards), each pruning against the distance the list holds so
+// far. Per-shard engines therefore hold no k-NN state.
 //
 // See DESIGN.md, "Sharded execution", for the determinism argument.
 //
@@ -140,9 +144,9 @@ class ShardedEngine {
       // stq-lint: allow(alloc-discipline/function): cold introspection walk
       const std::function<void(const QueryProcessor::QueryInfo&)>& fn) const;
 
-  // Exact global k nearest neighbours of `center`: home-shard search,
-  // then expanding-circle re-dispatch to every shard whose rect lies
-  // within the current k-th distance. Sorted by (distance^2, id).
+  // Exact global k nearest neighbours of `center`, sorted by
+  // (distance^2, id): the running k-best search below, into a fresh
+  // vector.
   std::vector<KnnEvaluator::Neighbor> SearchKnn(const Point& center,
                                                 int k) const;
 
@@ -234,8 +238,14 @@ class ShardedEngine {
   // and the reset negatives. (shard_merge_seconds)
   void Merge(const ReportBatch& batch, std::vector<Update>* out);
   // Re-evaluates the k-NN queries dirtied by a focal move or by this
-  // tick's object events. (shard_knn_seconds)
+  // tick's object reports: the dirty tests and searches in parallel, the
+  // diffs serially in qid order. (shard_knn_seconds)
   void RefreshKnn(std::vector<Update>* out, TickStats* stats);
+  // Offers `best` every object that can beat its bound: the home shard
+  // of `center` first, then each other shard whose rect lies within the
+  // current k-th distance. Reads only quiescent shard state; allocates
+  // nothing.
+  void SearchKnn(const Point& center, KnnEvaluator::KBest* best) const;
 
   // Route helpers.
   void RouteObjects(const ReportBatch& batch, TickStats* stats);

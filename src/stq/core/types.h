@@ -105,7 +105,7 @@ struct TickStats {
   double shard_tick_busy_seconds = 0.0;  // sum of per-shard tick walls
   double shard_tick_max_seconds = 0.0;   // slowest shard (critical path)
   double shard_merge_seconds = 0.0;   // refcount merge + canonicalization
-  double shard_knn_seconds = 0.0;     // cross-shard k-NN re-dispatch
+  double shard_knn_seconds = 0.0;     // router k-NN refresh
 
   // The parallelizable share of this tick (match + k-NN search time).
   double ParallelSeconds() const {

@@ -1,6 +1,5 @@
 #include "stq/geo/rect.h"
 
-#include <limits>
 #include <sstream>
 
 namespace stq {
@@ -23,13 +22,6 @@ Rect Rect::Union(const Rect& other) const {
   if (other.IsEmpty()) return *this;
   return Rect{std::min(min_x, other.min_x), std::min(min_y, other.min_y),
               std::max(max_x, other.max_x), std::max(max_y, other.max_y)};
-}
-
-double Rect::DistanceTo(const Point& p) const {
-  if (IsEmpty()) return std::numeric_limits<double>::infinity();
-  const double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
-  const double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
-  return std::sqrt(dx * dx + dy * dy);
 }
 
 std::string Rect::DebugString() const {

@@ -8,6 +8,8 @@
 #define STQ_GEO_RECT_H_
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -76,8 +78,22 @@ struct Rect {
                 max_y + margin};
   }
 
+  // Minimum squared Euclidean distance from `p` to this rectangle (0 if
+  // inside, +inf if empty). Subtract-then-square, the arithmetic of
+  // SquaredDistance, so a point on the nearest corner yields the
+  // bit-identical value: a k-NN search that skips every rect farther
+  // than its k-th neighbour stays exact under FP rounding.
+  double SquaredDistanceTo(const Point& p) const {
+    if (IsEmpty()) return std::numeric_limits<double>::infinity();
+    const double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
+    const double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
+    return dx * dx + dy * dy;
+  }
+
   // Minimum Euclidean distance from `p` to this rectangle (0 if inside).
-  double DistanceTo(const Point& p) const;
+  double DistanceTo(const Point& p) const {
+    return std::sqrt(SquaredDistanceTo(p));
+  }
 
   std::string DebugString() const;
 

@@ -38,6 +38,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stq/common/check.h"
@@ -272,10 +273,40 @@ class GridIndex {
     return any;
   }
 
+  // Visits each object slot of one base cell as fn(slot_bounds, ids), with
+  // `ids` a std::span<const ObjectId>: the cell itself when unrefined,
+  // else each of its leaves, starting with the leaf that holds `first`
+  // (clamped into the cell, so the leaf nearest to it). A footprint
+  // clipped into several leaves appears in each. The bounds let a
+  // distance-bounded search (the k-NN ring search) skip a slot before it
+  // reads the slot's ids.
+  template <typename Fn>
+  void ForEachObjectSlotInCell(const CellCoord& c, const Point& first,
+                               Fn&& fn) const {
+    STQ_DCHECK(c.x >= 0 && c.x < nx_ && c.y >= 0 && c.y < ny_);
+    const Cell& base = CellAt(c);
+    if (base.refined < 0) {
+      fn(CellBounds(c), std::span<const ObjectId>(base.objects.data(),
+                                                  base.objects.size()));
+      return;
+    }
+    const RefinedCell& rc = refined_[base.refined];
+    const CellResolver res(CellBounds(c), rc.level);
+    auto visit = [&](int leaf) {
+      const SmallVector<ObjectId, 4>& ids = rc.leaves[leaf].objects;
+      fn(res.LeafBounds(leaf), std::span<const ObjectId>(ids.data(),
+                                                         ids.size()));
+    };
+    const int head = res.LeafOf(first);
+    visit(head);
+    for (int leaf = 0; leaf < res.leaf_count(); ++leaf) {
+      if (leaf != head) visit(leaf);
+    }
+  }
+
   // Objects stored anywhere under one base cell (the whole leaf subtree
   // when refined). A footprint clipped into several leaves of the same
-  // cell is visited once per leaf; set-semantics callers deduplicate
-  // (the k-NN search's seen-set already does).
+  // cell is visited once per leaf; set-semantics callers deduplicate.
   template <typename Fn>
   void ForEachObjectInCell(const CellCoord& c, Fn&& fn) const {
     STQ_DCHECK(c.x >= 0 && c.x < nx_ && c.y >= 0 && c.y < ny_);

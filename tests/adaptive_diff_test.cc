@@ -59,10 +59,33 @@ struct DriveResult {
   size_t rebalances = 0;
 };
 
+// With `knn` on, every initial range query gets a k-NN twin: a new id,
+// k in 1..5, focal point at the region's centre, moved with the range
+// query. Refined cells are where the k-NN search prunes by leaf, so the
+// twins put that pruning under the byte-identity oracle.
+constexpr QueryId kKnnIdOffset = 1000000;
+
+QueryId KnnTwin(QueryId range_id) { return kKnnIdOffset + range_id; }
+
 // Replays a pre-rolled skewed workload, capturing streams, ingestion
-// statuses, adaptation counters, and the final committed answers.
-DriveResult DriveWorkload(QueryProcessor* qp, const Workload& workload) {
+// statuses, adaptation counters, and the final committed answers. On a
+// single grid, every k-NN twin's answer is also checked against the
+// brute-force oracle after every tick.
+DriveResult DriveWorkload(QueryProcessor* qp, const Workload& workload,
+                          bool knn) {
   DriveResult result;
+  auto check_knn = [&](Timestamp now) {
+    if (!knn || qp->options().num_shards != 1) return;
+    for (const QueryRegionReport& q : workload.initial_queries()) {
+      const Result<std::vector<ObjectId>> current =
+          qp->CurrentAnswer(KnnTwin(q.id));
+      const Result<std::vector<ObjectId>> oracle =
+          qp->EvaluateFromScratch(KnnTwin(q.id));
+      ASSERT_TRUE(current.ok() && oracle.ok()) << "k-NN twin of " << q.id;
+      EXPECT_EQ(*current, *oracle)
+          << "k-NN twin of query " << q.id << " at t=" << now;
+    }
+  };
   auto tick = [&](Timestamp now, std::ostringstream* statuses) {
     const TickResult r = qp->EvaluateTick(now);
     result.tick_streams.push_back(StreamBytes(r));
@@ -76,6 +99,7 @@ DriveResult DriveWorkload(QueryProcessor* qp, const Workload& workload) {
     EXPECT_TRUE(invariants.ok())
         << "invariants violated at t=" << now << " with "
         << qp->options().num_shards << " shards: " << invariants.ToString();
+    check_knn(now);
   };
 
   std::ostringstream statuses;
@@ -87,6 +111,10 @@ DriveResult DriveWorkload(QueryProcessor* qp, const Workload& workload) {
   }
   for (const QueryRegionReport& q : workload.initial_queries()) {
     note(qp->RegisterRangeQuery(q.id, q.region));
+    if (knn) {
+      note(qp->RegisterKnnQuery(KnnTwin(q.id), q.region.Center(),
+                                1 + static_cast<int>(q.id % 5)));
+    }
   }
   tick(0.0, &statuses);
 
@@ -100,22 +128,29 @@ DriveResult DriveWorkload(QueryProcessor* qp, const Workload& workload) {
     }
     for (const QueryRegionReport& q : wt.query_moves) {
       tick_note(qp->MoveRangeQuery(q.id, q.region));
+      if (knn) tick_note(qp->MoveKnnQuery(KnnTwin(q.id), q.region.Center()));
     }
     tick(wt.time, &tick_statuses);
   }
 
   // Final answers, digested in ascending query-id order.
-  for (const QueryRegionReport& q : workload.initial_queries()) {
-    const Result<std::vector<ObjectId>> answer = qp->CurrentAnswer(q.id);
-    EXPECT_TRUE(answer.ok()) << "query " << q.id;
+  auto digest = [&](QueryId qid) {
+    const Result<std::vector<ObjectId>> answer = qp->CurrentAnswer(qid);
+    EXPECT_TRUE(answer.ok()) << "query " << qid;
     std::ostringstream os;
-    os << q.id << ':';
+    os << qid << ':';
     if (answer.ok()) {
       for (ObjectId oid : *answer) os << oid << ',';
     }
     const std::string s = os.str();
     result.answer_crc =
         Crc32c(s.data(), s.size()) ^ (result.answer_crc * 31);
+  };
+  for (const QueryRegionReport& q : workload.initial_queries()) digest(q.id);
+  if (knn) {
+    for (const QueryRegionReport& q : workload.initial_queries()) {
+      digest(KnnTwin(q.id));
+    }
   }
   return result;
 }
@@ -168,37 +203,40 @@ const Scenario kScenarios[] = {
     {"rush_hour", SkewedGenerator::Scenario::kRushHour, 43},
 };
 
-// The battery: every scenario x shards {1, 2, 4} x workers {1, 4},
-// adaptive on, against the uniform single-grid baseline.
+// The battery: every scenario x k-NN twins {off, on} x shards {1, 2, 4}
+// x workers {1, 4}, adaptive on, against the uniform single-grid
+// baseline.
 TEST(AdaptiveDiffTest, SkewedStreamsAreByteIdenticalToUniform) {
   for (const Scenario& scenario : kScenarios) {
     const Workload workload = MakeScenario(scenario.kind, scenario.seed);
-    QueryProcessor baseline(
-        EngineOptions(/*shards=*/1, /*workers=*/1, /*adaptive=*/false));
-    const DriveResult expected = DriveWorkload(&baseline, workload);
-    size_t total_bytes = 0;
-    for (const std::string& s : expected.tick_streams) {
-      total_bytes += s.size();
-    }
-    EXPECT_GT(total_bytes, 0u) << scenario.name << " produced no traffic";
+    for (bool knn : {false, true}) {
+      QueryProcessor baseline(
+          EngineOptions(/*shards=*/1, /*workers=*/1, /*adaptive=*/false));
+      const DriveResult expected = DriveWorkload(&baseline, workload, knn);
+      size_t total_bytes = 0;
+      for (const std::string& s : expected.tick_streams) {
+        total_bytes += s.size();
+      }
+      EXPECT_GT(total_bytes, 0u) << scenario.name << " produced no traffic";
 
-    for (int shards : {1, 2, 4}) {
-      for (int workers : {1, 4}) {
-        std::ostringstream what;
-        what << scenario.name << " with " << shards << " shards, " << workers
-             << " workers";
-        QueryProcessor qp(EngineOptions(shards, workers, /*adaptive=*/true));
-        const DriveResult actual = DriveWorkload(&qp, workload);
-        ExpectSameRun(expected, actual, what.str());
-        if (testing::Test::HasFatalFailure()) {
-          FAIL() << what.str() << " diverged";
+      for (int shards : {1, 2, 4}) {
+        for (int workers : {1, 4}) {
+          std::ostringstream what;
+          what << scenario.name << (knn ? " with k-NN twins" : "") << " with "
+               << shards << " shards, " << workers << " workers";
+          QueryProcessor qp(EngineOptions(shards, workers, /*adaptive=*/true));
+          const DriveResult actual = DriveWorkload(&qp, workload, knn);
+          ExpectSameRun(expected, actual, what.str());
+          if (testing::Test::HasFatalFailure()) {
+            FAIL() << what.str() << " diverged";
+          }
+          // The run must actually exercise the adaptive machinery: splits
+          // on the way into every skewed scenario, and merges when the
+          // transient scenarios relax (flash crowd disperses, rush hour
+          // drives home, hotspots drift off their old cells).
+          EXPECT_GE(actual.splits, 1u) << what.str();
+          EXPECT_GE(actual.merges, 1u) << what.str();
         }
-        // The run must actually exercise the adaptive machinery: splits
-        // on the way into every skewed scenario, and merges when the
-        // transient scenarios relax (flash crowd disperses, rush hour
-        // drives home, hotspots drift off their old cells).
-        EXPECT_GE(actual.splits, 1u) << what.str();
-        EXPECT_GE(actual.merges, 1u) << what.str();
       }
     }
   }
@@ -213,7 +251,7 @@ TEST(AdaptiveDiffTest, RebalancesFireOnSkewedShardedRuns) {
     const Workload workload = MakeScenario(scenario.kind, scenario.seed);
     for (int shards : {2, 4}) {
       QueryProcessor qp(EngineOptions(shards, /*workers=*/1, true));
-      const DriveResult r = DriveWorkload(&qp, workload);
+      const DriveResult r = DriveWorkload(&qp, workload, /*knn=*/false);
       total_rebalances += r.rebalances;
       ASSERT_NE(qp.sharded_engine(), nullptr);
       EXPECT_EQ(qp.sharded_engine()->rebalance_history().size(),
@@ -243,7 +281,7 @@ TEST(AdaptiveDiffTest, ZipfHotspotRebalances) {
   options.num_ticks = 12;
   const Workload workload = MakeSkewedWorkload(options);
   QueryProcessor qp(EngineOptions(/*shards=*/2, /*workers=*/1, true));
-  const DriveResult r = DriveWorkload(&qp, workload);
+  const DriveResult r = DriveWorkload(&qp, workload, /*knn=*/false);
   EXPECT_GE(r.rebalances, 1u);
   EXPECT_GE(r.splits, 1u);
 }
