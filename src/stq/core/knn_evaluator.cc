@@ -18,6 +18,20 @@ void KnnEvaluator::KBest::Offer(const Neighbor& n) {
   *pos = n;
 }
 
+void KnnEvaluator::AnswerSlots::Allocate() {
+  std::sort(slots_.begin(), slots_.end(),
+            [](const Slot& a, const Slot& b) { return a.qid < b.qid; });
+  size_t total = 0;
+  for (const Slot& s : slots_) total += s.best.capacity;
+  neighbors_.resize(total);
+  Neighbor* next = neighbors_.data();
+  for (Slot& s : slots_) {
+    s.best.slots = next;
+    s.best.size = 0;
+    next += s.best.capacity;
+  }
+}
+
 void KnnEvaluator::Search(const Point& center, KBest* best) const {
   if (best->capacity == 0 || state_.objects->empty()) return;
 
@@ -68,7 +82,7 @@ void KnnEvaluator::Search(const Point& center, KBest* best) const {
 std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
                                                          int k) const {
   std::vector<Neighbor> result(
-      k <= 0 ? 0 : std::min(static_cast<size_t>(k), state_.objects->size()));
+      AnswerSlots::Capacity(k, state_.objects->size()));
   KBest best{result.data(), result.size(), 0};
   Search(center, &best);
   result.resize(best.size);
@@ -139,37 +153,29 @@ size_t KnnEvaluator::ReevaluateDirty(std::vector<Update>* out,
 }
 
 void KnnEvaluator::SearchDirty(ThreadPool* pool) {
-  // Deterministic processing order regardless of hash iteration.
-  std::vector<QueryId>& ids = dirty_ids_scratch_;
-  ids.assign(dirty_.begin(), dirty_.end());
-  std::sort(ids.begin(), ids.end());
-  dirty_.clear();
-
-  // One slot of min(k, objects) neighbours per still-live k-NN query.
-  std::vector<DirtyAnswer>& answers = answers_scratch_;
-  answers.clear();
+  // One slot per still-live k-NN query; Allocate orders them by query
+  // id, so the apply order does not depend on hash iteration.
+  AnswerSlots& answers = answers_scratch_;
+  answers.Clear();
   const size_t population = state_.objects->size();
-  size_t total = 0;
-  for (QueryId qid : ids) {
+  for (QueryId qid : dirty_) {
     const QueryRecord* q = state_.queries->Find(qid);
-    if (q == nullptr || q->kind != QueryKind::kKnn) continue;
-    const size_t capacity = std::min(static_cast<size_t>(q->k), population);
-    answers.push_back(DirtyAnswer{qid, total, capacity, 0});
-    total += capacity;
+    if (q != nullptr && q->kind == QueryKind::kKnn) {
+      answers.Add(qid, q->k, population);
+    }
   }
-  neighbors_scratch_.resize(total);
+  dirty_.clear();
+  answers.Allocate();
 
   // The searches touch only const state (grid cells, object locations),
   // never the answer sets or footprints ApplyDirty rewrites, and each
   // writes only its own slot, so running them concurrently is race-free
   // and the slots match a serial run.
   auto search_one = [&](size_t i) {
-    DirtyAnswer& a = answers[i];
-    KBest best{neighbors_scratch_.data() + a.begin, a.capacity, 0};
-    Search(state_.queries->Find(a.qid)->circle.center, &best);
-    a.size = best.size;
+    Search(state_.queries->Find(answers.qid(i))->circle.center,
+           answers.best(i));
   };
-  if (pool != nullptr && pool->num_workers() > 1 && answers.size() > 1) {
+  if (pool != nullptr) {
     pool->RunDynamic(answers.size(), search_one);
   } else {
     for (size_t i = 0; i < answers.size(); ++i) search_one(i);
@@ -177,17 +183,14 @@ void KnnEvaluator::SearchDirty(ThreadPool* pool) {
 }
 
 size_t KnnEvaluator::ApplyDirty(std::vector<Update>* out) {
-  std::vector<DirtyAnswer>& answers = answers_scratch_;
-  for (const DirtyAnswer& a : answers) {
-    QueryRecord* q = state_.queries->FindMutable(a.qid);
+  AnswerSlots& answers = answers_scratch_;
+  for (size_t i = 0; i < answers.size(); ++i) {
+    QueryRecord* q = state_.queries->FindMutable(answers.qid(i));
     STQ_DCHECK(q != nullptr);
-    ApplyAnswer(q,
-                std::span<const Neighbor>(neighbors_scratch_.data() + a.begin,
-                                          a.size),
-                out);
+    ApplyAnswer(q, answers.answer(i), out);
   }
   const size_t applied = answers.size();
-  answers.clear();  // consumed: a second call applies nothing
+  answers.Clear();  // consumed: a second call applies nothing
   return applied;
 }
 

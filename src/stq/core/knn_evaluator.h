@@ -51,8 +51,7 @@ class KnnEvaluator {
   // neighbours, of which the first `size` are filled, sorted by
   // (dist2, id). A search only offers candidates to it, so one list can
   // be passed through several grids (the sharded router's per-shard
-  // pass). Size `capacity` as min(k, objects) so a huge k cannot demand
-  // more room than there are objects to find.
+  // pass). AnswerSlots below sizes and owns the room.
   struct KBest {
     Neighbor* slots = nullptr;
     size_t capacity = 0;
@@ -70,6 +69,45 @@ class KnnEvaluator {
     // several slots, or replicated into several shards, is offered once
     // per copy with the same stored location.
     void Offer(const Neighbor& n);
+  };
+
+  // One KBest per query, carved out of one flat neighbour buffer that is
+  // reused across ticks, so a steady-state refresh allocates nothing.
+  // Both engines' k-NN refreshes search into it: Add a slot per query,
+  // Allocate once, then fill slot i through best(i). Slots share no
+  // memory, so concurrent searches into distinct slots are race-free.
+  class AnswerSlots {
+   public:
+    // The room a k-NN search needs: min(k, population), so a huge k
+    // cannot demand more than there are objects to find.
+    static size_t Capacity(int k, size_t population) {
+      return std::min(static_cast<size_t>(std::max(k, 0)), population);
+    }
+
+    void Clear() { slots_.clear(); }
+    // Appends a slot for `qid` with Capacity(k, population) room.
+    void Add(QueryId qid, int k, size_t population) {
+      slots_.push_back(Slot{qid, KBest{nullptr, Capacity(k, population), 0}});
+    }
+    // Orders the slots by ascending query id, the order every refresh
+    // applies its answers in, and points each at its part of the buffer.
+    void Allocate();
+
+    size_t size() const { return slots_.size(); }
+    QueryId qid(size_t i) const { return slots_[i].qid; }
+    KBest* best(size_t i) { return &slots_[i].best; }
+    // Slot i's neighbours so far, sorted by (dist2, id).
+    std::span<const Neighbor> answer(size_t i) const {
+      return {slots_[i].best.slots, slots_[i].best.size};
+    }
+
+   private:
+    struct Slot {
+      QueryId qid = 0;
+      KBest best;
+    };
+    std::vector<Slot> slots_;
+    std::vector<Neighbor> neighbors_;
   };
 
   // Offers every object of the grid that can beat `best`'s bound. Visits
@@ -113,10 +151,9 @@ class KnnEvaluator {
   // them independently.
   //
   // SearchDirty consumes the dirty set and runs one grid search per
-  // still-live k-NN query, in ascending query id, each into its own slot
-  // of one result buffer reused across ticks. Searches only READ the
-  // grid and the stores, so they run concurrently when `pool` has more
-  // than one worker; the results are worker-count-invariant.
+  // still-live k-NN query, each into its own AnswerSlots slot. Searches
+  // only READ the grid and the stores, so they run concurrently on
+  // `pool`; the results are worker-count-invariant.
   void SearchDirty(ThreadPool* pool = nullptr);
 
   // ApplyDirty replays the answers SearchDirty computed serially, in
@@ -132,24 +169,13 @@ class KnnEvaluator {
   void ApplyAnswer(QueryRecord* q, std::span<const Neighbor> neighbors,
                    std::vector<Update>* out);
 
-  // One dirty query's search: its neighbours are
-  // [begin, begin + size) of neighbors_scratch_.
-  struct DirtyAnswer {
-    QueryId qid = 0;
-    size_t begin = 0;
-    size_t capacity = 0;
-    size_t size = 0;
-  };
-
   EngineState state_;
   FlatSet<QueryId> dirty_;
 
   // Tick-scoped scratch, reused across ReevaluateDirty calls so the
   // steady state stops allocating (see DESIGN.md, "Memory layout &
   // allocation discipline").
-  std::vector<QueryId> dirty_ids_scratch_;
-  std::vector<DirtyAnswer> answers_scratch_;
-  std::vector<Neighbor> neighbors_scratch_;
+  AnswerSlots answers_scratch_;
   FlatSet<ObjectId> fresh_scratch_;
   std::vector<ObjectId> leavers_scratch_;
 };

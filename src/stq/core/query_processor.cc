@@ -1073,13 +1073,6 @@ bool QueryProcessor::AppendAnswerIds(QueryId id,
   return true;
 }
 
-std::vector<KnnEvaluator::Neighbor> QueryProcessor::SearchKnn(
-    const Point& center, int k) const {
-  if (sharded_ != nullptr) return sharded_->SearchKnn(center, k);
-  if (k < 1) return {};
-  return knn_.Search(center, k);
-}
-
 void QueryProcessor::ForEachObjectInfo(
     // stq-lint: allow(alloc-discipline/function): cold introspection walk
     const std::function<void(const ObjectInfo&)>& fn) const {

@@ -189,11 +189,6 @@ class QueryProcessor {
   // TickStats::bytes_resident at the end of every tick.
   size_t AnswerBytesResident() const;
 
-  // Exact k nearest neighbours of `center` over the current object
-  // population, sorted by (distance^2, id). Empty when k < 1.
-  std::vector<KnnEvaluator::Neighbor> SearchKnn(const Point& center,
-                                                int k) const;
-
   // Recomputes the answer of `id` from first principles, bypassing all
   // incremental state (linear scan / brute-force k-NN). Ground truth for
   // tests and baselines.

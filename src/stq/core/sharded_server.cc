@@ -103,23 +103,12 @@ struct Reset {
   size_t end = 0;
 };
 
-// One router k-NN query in the refresh pass. The parallel half fills
-// `dirty` and, when dirty, neighbours [begin, begin + size) of the shared
-// result buffer; the serial half applies them.
-struct KnnSlot {
-  QueryId qid = 0;
-  size_t begin = 0;
-  size_t capacity = 0;  // min(k, objects)
-  size_t size = 0;
-  bool dirty = false;
-};
-
 }  // namespace
 
 // Tick-scoped working buffers, reused across ticks. Every container is
 // cleared (never shrunk) before use, so the steady-state tick allocates
 // only when a buffer outgrows its previous high-water mark. Defined here
-// because MergeEntry/Reset/KnnSlot are local to this translation unit.
+// because MergeEntry/Reset are local to this translation unit.
 struct ShardedEngine::TickScratch {
   // Indexed by shard id. The route phase fills the sub-batches and the
   // departing-query captures; the shard's task only reads them.
@@ -146,11 +135,11 @@ struct ShardedEngine::TickScratch {
   std::vector<int> ticked;
   std::vector<double> shard_walls;  // indexed by position in `ticked`
   ShardList route_ns;  // routing fan-out of the report being dispatched
-  // Router k-NN refresh: one slot per k-NN query (ascending qid), each
-  // owning [begin, begin + capacity) of knn_best, written only by the
-  // worker that claims it.
-  std::vector<KnnSlot> knn_slots;
-  std::vector<KnnEvaluator::Neighbor> knn_best;
+  // Router k-NN refresh: one answer slot per k-NN query and whether the
+  // query was dirty, both indexed by slot and written only by the worker
+  // that claims it.
+  KnnEvaluator::AnswerSlots knn_slots;
+  std::vector<char> knn_searched;
   std::vector<ObjectId> knn_fresh;
 };
 
@@ -935,22 +924,14 @@ void ShardedEngine::Merge(const ReportBatch& batch, std::vector<Update>* out) {
 
 void ShardedEngine::RefreshKnn(std::vector<Update>* out, TickStats* stats) {
   TickScratch& scratch = *scratch_;
-  std::vector<KnnSlot>& slots = scratch.knn_slots;
-  slots.clear();
+  KnnEvaluator::AnswerSlots& slots = scratch.knn_slots;
+  slots.Clear();
   for (const auto& [qid, rq] : queries_) {
-    if (rq.kind == QueryKind::kKnn) slots.push_back(KnnSlot{qid});
+    if (rq.kind == QueryKind::kKnn) slots.Add(qid, rq.k, objects_.size());
   }
-  std::sort(slots.begin(), slots.end(),
-            [](const KnnSlot& a, const KnnSlot& b) { return a.qid < b.qid; });
-  const size_t population = objects_.size();
-  size_t total = 0;
-  for (KnnSlot& slot : slots) {
-    slot.begin = total;
-    slot.capacity =
-        std::min(static_cast<size_t>(queries_.FindPtr(slot.qid)->k), population);
-    total += slot.capacity;
-  }
-  scratch.knn_best.resize(total);
+  slots.Allocate();
+  std::vector<char>& searched = scratch.knn_searched;
+  searched.assign(slots.size(), 0);
 
   // Parallel half: per query, the dirty test, then, if dirty, the search
   // into the query's own slot. A query is dirty when its focal point
@@ -962,17 +943,16 @@ void ShardedEngine::RefreshKnn(std::vector<Update>* out, TickStats* stats) {
   // knn_points, and each writes only its own slot.
   const FlatMap<QueryId, RoutedQuery>& queries = queries_;
   auto refresh_one = [&](size_t i) {
-    KnnSlot& slot = slots[i];
-    const RoutedQuery& rq = *queries.FindPtr(slot.qid);
-    slot.dirty = knn_dirty_.contains(slot.qid) ||
-                 AnyWithin(scratch.knn_points, rq.circle.center, rq.knn_dist2);
-    if (!slot.dirty) return;
-    KnnEvaluator::KBest best{scratch.knn_best.data() + slot.begin,
-                             slot.capacity, 0};
-    SearchKnn(rq.circle.center, &best);
-    slot.size = best.size;
+    const QueryId qid = slots.qid(i);
+    const RoutedQuery& rq = *queries.FindPtr(qid);
+    if (!knn_dirty_.contains(qid) &&
+        !AnyWithin(scratch.knn_points, rq.circle.center, rq.knn_dist2)) {
+      return;
+    }
+    searched[i] = 1;
+    SearchKnn(rq.circle.center, slots.best(i));
   };
-  if (pool_ != nullptr && slots.size() > 1) {
+  if (pool_ != nullptr) {
     pool_->RunDynamic(slots.size(), refresh_one);
   } else {
     for (size_t i = 0; i < slots.size(); ++i) refresh_one(i);
@@ -982,22 +962,22 @@ void ShardedEngine::RefreshKnn(std::vector<Update>* out, TickStats* stats) {
   // Serial half, in ascending qid: diff each fresh answer against the
   // committed one (both sorted by id) and commit it.
   std::vector<ObjectId>& fresh = scratch.knn_fresh;
-  for (const KnnSlot& slot : slots) {
-    if (!slot.dirty) continue;
-    RoutedQuery& rq = *queries_.FindPtr(slot.qid);
-    const KnnEvaluator::Neighbor* neighbors =
-        scratch.knn_best.data() + slot.begin;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (!searched[i]) continue;
+    const QueryId qid = slots.qid(i);
+    RoutedQuery& rq = *queries_.FindPtr(qid);
+    const std::span<const KnnEvaluator::Neighbor> neighbors = slots.answer(i);
     fresh.clear();
-    for (size_t j = 0; j < slot.size; ++j) fresh.push_back(neighbors[j].id);
+    for (const KnnEvaluator::Neighbor& n : neighbors) fresh.push_back(n.id);
     std::sort(fresh.begin(), fresh.end());
     size_t a = 0, b = 0;
     while (a < rq.knn_answer.size() || b < fresh.size()) {
       if (b == fresh.size() ||
           (a < rq.knn_answer.size() && rq.knn_answer[a] < fresh[b])) {
-        out->push_back(Update::Negative(slot.qid, rq.knn_answer[a]));
+        out->push_back(Update::Negative(qid, rq.knn_answer[a]));
         ++a;
       } else if (a == rq.knn_answer.size() || fresh[b] < rq.knn_answer[a]) {
-        out->push_back(Update::Positive(slot.qid, fresh[b]));
+        out->push_back(Update::Positive(qid, fresh[b]));
         ++b;
       } else {
         ++a;
@@ -1005,8 +985,8 @@ void ShardedEngine::RefreshKnn(std::vector<Update>* out, TickStats* stats) {
       }
     }
     rq.knn_answer.assign(fresh.begin(), fresh.end());
-    rq.knn_dist2 = slot.size == static_cast<size_t>(rq.k)
-                       ? neighbors[slot.size - 1].dist2
+    rq.knn_dist2 = neighbors.size() == static_cast<size_t>(rq.k)
+                       ? neighbors.back().dist2
                        : kInf;
     ++stats->knn_reevaluations;
   }
@@ -1137,16 +1117,6 @@ void ShardedEngine::SearchKnn(const Point& center,
   }
 }
 
-std::vector<KnnEvaluator::Neighbor> ShardedEngine::SearchKnn(
-    const Point& center, int k) const {
-  std::vector<KnnEvaluator::Neighbor> result(
-      k < 1 ? 0 : std::min(static_cast<size_t>(k), objects_.size()));
-  KnnEvaluator::KBest best{result.data(), result.size(), 0};
-  SearchKnn(center, &best);
-  result.resize(best.size);
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Cross-shard audit
 // ---------------------------------------------------------------------------
@@ -1262,8 +1232,12 @@ void ShardedEngine::AuditCrossShard(
         os << "k-NN query " << qid << " routed to shards; it is router-owned";
         add(os.str());
       }
+      KnnEvaluator::AnswerSlots one;
+      one.Add(qid, rq.k, objects_.size());
+      one.Allocate();
+      SearchKnn(rq.circle.center, one.best(0));
       std::vector<ObjectId> fresh;
-      for (const auto& nb : SearchKnn(rq.circle.center, rq.k)) {
+      for (const KnnEvaluator::Neighbor& nb : one.answer(0)) {
         fresh.push_back(nb.id);
       }
       std::sort(fresh.begin(), fresh.end());

@@ -144,12 +144,6 @@ class ShardedEngine {
       // stq-lint: allow(alloc-discipline/function): cold introspection walk
       const std::function<void(const QueryProcessor::QueryInfo&)>& fn) const;
 
-  // Exact global k nearest neighbours of `center`, sorted by
-  // (distance^2, id): the running k-best search below, into a fresh
-  // vector.
-  std::vector<KnnEvaluator::Neighbor> SearchKnn(const Point& center,
-                                                int k) const;
-
   // One committed shard-boundary move (adaptive rebalancing). Decisions
   // are a pure function of committed router state at a tick boundary, so
   // every worker count replays the same history — the rebalance

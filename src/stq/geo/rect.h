@@ -8,7 +8,6 @@
 #define STQ_GEO_RECT_H_
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -88,11 +87,6 @@ struct Rect {
     const double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
     const double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
     return dx * dx + dy * dy;
-  }
-
-  // Minimum Euclidean distance from `p` to this rectangle (0 if inside).
-  double DistanceTo(const Point& p) const {
-    return std::sqrt(SquaredDistanceTo(p));
   }
 
   std::string DebugString() const;

@@ -2,11 +2,12 @@
 """Unit test for the verdict logic of tools/bench_compare.py.
 
 Feeds canned paired samples to bench_compare.judge() and checks each
-verdict: a claim that holds, claims that miss on pairs won or on the
-median gap, a regression past the bound, a spread too wide to resolve,
-an unresolvable spread rescued by a clean separation, and a single pair
-whose spread is unknown. Run from
-anywhere; registered in ctest as `bench_compare_test`.
+verdict: a claim that holds, claims that miss on pairs won, on the
+median gap, on too few pairs, on failed pairs or on a larger failed
+share, a regression past the bound, a spread too wide to resolve, an
+unresolvable spread rescued by a clean separation, and a single pair
+whose spread is unknown. Run from anywhere; registered in ctest as
+`bench_compare_test`.
 """
 
 import importlib.util
@@ -56,6 +57,31 @@ def main():
     # A higher-is-better claim wins the same way in the other direction.
     r = judge(base, [v * 1.3 for v in base], "higher", 0.25, claimed=True)
     check("claim higher", r["verdict"], "holds", failures)
+
+    # Too few pairs to claim anything, however clean: one pair (whose
+    # interquartile range is 0) and three pairs, all won by far.
+    r = judge([7.0], [6.0], "lower", 0.25, claimed=True)
+    check("claim 1 pair", r["verdict"], "not met", failures)
+    r = judge(base[:3], faster[:3], "lower", 0.25, claimed=True)
+    check("claim 3 pairs", r["verdict"], "not met", failures)
+    check("claim 3 pairs wins", (r["wins"], r["pairs"]), (3, 3), failures)
+
+    # Wins count out of every pair run: 9 clean wins of 10 pairs hold,
+    # 9 clean wins of 11 pairs (two failed) do not.
+    r = judge(base[:9], faster[:9], "lower", 0.25, claimed=True,
+              attempted=10)
+    check("claim 9 of 10", r["verdict"], "holds", failures)
+    r = judge(base[:9], faster[:9], "lower", 0.25, claimed=True,
+              attempted=11)
+    check("claim 9 of 11", r["verdict"], "not met", failures)
+    check("claim 9 of 11 pairs", (r["wins"], r["pairs"]), (9, 11), failures)
+
+    # A gain bought with a larger share of failed operations does not
+    # count; the other metrics are judged as usual.
+    r = judge(base, faster, "lower", 0.25, claimed=True, more_failed=True)
+    check("claim more failed", r["verdict"], "not met", failures)
+    r = judge(base, faster, "lower", 0.25, more_failed=True)
+    check("unclaimed more failed", r["verdict"], "ok", failures)
 
     # Ties count for neither side.
     r = judge([5, 5, 5], [5, 5, 4], "lower", 0.25)

@@ -92,12 +92,13 @@ TEST(RectTest, ContainsRect) {
   EXPECT_FALSE(Rect::Empty().ContainsRect(a));
 }
 
-TEST(RectTest, DistanceToPoint) {
+TEST(RectTest, SquaredDistanceToPoint) {
   const Rect r{0.0, 0.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(r.DistanceTo(Point{0.5, 0.5}), 0.0);     // inside
-  EXPECT_DOUBLE_EQ(r.DistanceTo(Point{2.0, 0.5}), 1.0);     // right
-  EXPECT_DOUBLE_EQ(r.DistanceTo(Point{0.5, -2.0}), 2.0);    // below
-  EXPECT_DOUBLE_EQ(r.DistanceTo(Point{4.0, 5.0}), 5.0);     // corner 3-4-5
+  EXPECT_DOUBLE_EQ(r.SquaredDistanceTo(Point{0.5, 0.5}), 0.0);   // inside
+  EXPECT_DOUBLE_EQ(r.SquaredDistanceTo(Point{2.0, 0.5}), 1.0);   // right
+  EXPECT_DOUBLE_EQ(r.SquaredDistanceTo(Point{0.5, -2.0}), 4.0);  // below
+  EXPECT_DOUBLE_EQ(r.SquaredDistanceTo(Point{4.0, 5.0}), 25.0);  // corner
+  EXPECT_TRUE(std::isinf(Rect::Empty().SquaredDistanceTo(Point{0.0, 0.0})));
 }
 
 TEST(RectTest, ExpandedGrowsAllSides) {

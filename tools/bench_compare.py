@@ -2,26 +2,28 @@
 """bench_compare: judge a change against a base commit on the repo benchmark.
 
 Runs alternating pairs of the repository benchmark (`perfbench/run.py`) on a
-base checkout and on the working tree, then judges every end-to-end metric
+base commit and on the working tree, then judges every end-to-end metric
 BENCHMARK.json declares, per workload:
 
     tools/bench_compare.py --base HEAD~1 --pairs 10 \\
         --claim hotspot_sharded:cycle_ms.p50
-    tools/bench_compare.py --base-dir /path/to/parent/checkout \\
-        --workload city_paper --pairs 10
+    tools/bench_compare.py --base HEAD~1 --workload city_paper
 
-Run it from the repository root. `--base REF` checks REF out with
-`git worktree add --detach` into a temporary directory and removes it
-afterwards; `--base-dir DIR` uses an existing checkout instead. Each side
-builds its own benchmark tree (`.bench_build/` under its root) on its
-first run. Pair i runs the base first when i is even and the change first
-when i is odd. Progress goes to stderr; the report goes to stdout.
+Run it from the repository root. `--base REF` exports REF's committed files
+with `git archive` into a temporary directory (under $TMPDIR) and deletes
+it afterwards, so the base side runs exactly what REF committed. Each side
+builds its own benchmark tree (`.bench_build/` under its root) on its first
+run, and every run lasts BENCHMARK.json's `run_seconds`. Pair i runs the
+base first when i is even and the change first when i is odd. Progress goes
+to stderr; the report goes to stdout.
 
 The verdicts follow the repository's benchmark rules:
 
-  claim       the change wins at least 9/10 of the pairs (ties count for
-              neither side) and its median beats the base median by more
-              than the base runs' interquartile range;
+  claim       at least 10 pairs were run; the change wins at least 9/10
+              of them (a tie or a pair with a failed run counts for
+              neither side); its median beats the base median by more
+              than the base runs' interquartile range; and its share of
+              failed operations is no larger than the base's;
   regressed   the change's median is worse than the base median by more
               than the metric's BENCHMARK.json bound;
   unresolved  not regressed, but the runs spread (interquartile range over
@@ -31,10 +33,10 @@ The verdicts follow the repository's benchmark rules:
   ok          within the bound and resolvable.
 
 A run that exits non-zero or reports `"correct": false` counts as failed;
-its pair is left out, and the failed/attempted operation counts of the
-runs are reported per side. Exit status: 0 when no metric regressed, no
-run failed, the change's failed share is no larger, and the claim (if
-any) holds; 1 otherwise; 2 on usage errors.
+its pair is left out of the samples, and the failed/attempted operation
+counts of the runs are reported per side. Exit status: 0 when no metric
+regressed, no run failed, the change's failed share is no larger, and the
+claim (if any) holds; 1 otherwise; 2 on usage errors.
 
 The tool reads only BENCHMARK.json and runs only perfbench/run.py.
 """
@@ -43,6 +45,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +53,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MIN_CLAIM_PAIRS = 10
 
 
 def log(msg):
@@ -91,12 +95,17 @@ def relative_spread(values):
     return (q3 - q1) / abs(med)
 
 
-def judge(base, change, direction, bound, claimed=False):
+def judge(base, change, direction, bound, claimed=False, attempted=None,
+          more_failed=False):
     """Judges one metric from paired samples (base[i] and change[i] ran in
-    pair i). Returns a dict with the summary statistics and a verdict:
-    "holds"/"not met" for the claimed metric, else "regressed",
-    "unresolved" or "ok"."""
+    pair i). `attempted` is the number of pairs run, failed ones included
+    (default: len(base)); wins are counted out of it. `more_failed` says
+    the change's share of failed operations exceeds the base's. Returns a
+    dict with the summary statistics and a verdict: "holds"/"not met" for
+    the claimed metric, else "regressed", "unresolved" or "ok"."""
     assert base and len(base) == len(change)
+    attempted = len(base) if attempted is None else attempted
+    assert attempted >= len(base)
     bq1, bmed, bq3 = quartiles(base)
     cq1, cmed, cq3 = quartiles(change)
     wins = sum(1 for b, c in zip(base, change) if better(c, b, direction))
@@ -106,13 +115,15 @@ def judge(base, change, direction, bound, claimed=False):
     result = {
         "base": {"q1": bq1, "median": bmed, "q3": bq3},
         "change": {"q1": cq1, "median": cmed, "q3": cq3},
-        "pairs": len(base), "wins": wins, "losses": losses,
+        "pairs": attempted, "wins": wins, "losses": losses,
         "worsening": worse, "spread": spread,
         "samples": {"base": list(base), "change": list(change)},
     }
     if claimed:
         gap = bmed - cmed if direction == "lower" else cmed - bmed
-        holds = wins * 10 >= 9 * len(base) and gap > bq3 - bq1
+        holds = (attempted >= MIN_CLAIM_PAIRS and
+                 wins * 10 >= 9 * attempted and
+                 gap > bq3 - bq1 and not more_failed)
         result["verdict"] = "holds" if holds else "not met"
         return result
     if worse > bound:
@@ -150,12 +161,17 @@ def run_once(root, workload, seed, seconds):
     return result
 
 
+def failed_share(runs):
+    return runs["failed"] / runs["attempted"] if runs["attempted"] else 0.0
+
+
 def compare_workload(sides, workload, spec, args, claim_metric):
     runs = {"base": [], "change": []}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            r = run_once(sides[side], workload, args.seed, args.seconds)
+            r = run_once(sides[side], workload, args.seed,
+                         spec["run_seconds"])
             runs[side].append(r)
             log(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                 f"{'ok' if r['ok'] else 'FAILED'} in {r['wall_s']:.0f} s")
@@ -167,6 +183,8 @@ def compare_workload(sides, workload, spec, args, claim_metric):
             "attempted": sum(r.get("attempted", 0) for r in runs[side]),
             "failed": sum(r.get("failed", 0) for r in runs[side]),
         }
+    more_failed = failed_share(report["runs"]["change"]) > \
+        failed_share(report["runs"]["base"])
     pairs = [(b, c) for b, c in zip(runs["base"], runs["change"])
              if b["ok"] and c["ok"]]
     for metric in spec["end_to_end"]:
@@ -178,7 +196,8 @@ def compare_workload(sides, workload, spec, args, claim_metric):
             continue
         report["metrics"][name] = judge(
             [b for b, _ in got], [c for _, c in got], metric["better"],
-            metric["bound"], claimed=(name == claim_metric))
+            metric["bound"], claimed=(name == claim_metric),
+            attempted=args.pairs, more_failed=more_failed)
         report["metrics"][name]["unit"] = metric["unit"]
         report["metrics"][name]["bound"] = metric["bound"]
     return report
@@ -188,10 +207,6 @@ def describe(side):
     def num(v):
         return f"{v:.0f}" if abs(v) >= 1000 else f"{v:.4g}"
     return f"{num(side['median'])} [{num(side['q1'])}, {num(side['q3'])}]"
-
-
-def failed_share(runs):
-    return runs["failed"] / runs["attempted"] if runs["attempted"] else 0.0
 
 
 def print_report(report):
@@ -211,25 +226,31 @@ def print_report(report):
               f"{r['failed_runs']}/{r['runs']} runs failed")
 
 
+def export_ref(ref, dest):
+    """Writes the files `ref` committed into the empty directory `dest`."""
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", ref],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout,
+                   check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise subprocess.CalledProcessError(archive.returncode, "git archive")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    base = ap.add_mutually_exclusive_group(required=True)
-    base.add_argument("--base", help="git ref of the base commit")
-    base.add_argument("--base-dir", help="existing checkout of the base")
+    ap.add_argument("--base", required=True,
+                    help="git ref of the base commit")
     ap.add_argument("--workload", action="append",
                     help="workload to run (repeatable; default: all)")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, default=MIN_CLAIM_PAIRS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims")
     ap.add_argument("--json", help="also write the report to this path")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
-    if args.seconds is None:
-        args.seconds = spec.get("run_seconds", 20)
     names = [w["name"] for w in spec["workloads"]]
     workloads = args.workload or names
     for w in workloads:
@@ -243,18 +264,17 @@ def main():
             ap.error(f"--claim {args.claim!r}: not a run workload:metric")
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    commit = subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
+         args.base + "^{commit}"], capture_output=True, text=True)
+    if commit.returncode != 0:
+        ap.error(f"--base {args.base!r}: not a commit")
 
-    worktree = None
-    if args.base:
-        worktree = tempfile.mkdtemp(prefix="bench_compare_base_")
-        os.rmdir(worktree)
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        worktree, args.base], check=True,
-                       stdout=sys.stderr)
-    sides = {"base": worktree or os.path.abspath(args.base_dir),
-             "change": ROOT}
+    base_root = tempfile.mkdtemp(prefix="bench_compare_base_")
     reports = []
     try:
+        export_ref(commit.stdout.strip(), base_root)
+        sides = {"base": base_root, "change": ROOT}
         for w in workloads:
             reports.append(compare_workload(
                 sides, w, spec, args,
@@ -262,9 +282,7 @@ def main():
             print_report(reports[-1])
             sys.stdout.flush()
     finally:
-        if worktree:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
-                            "--force", worktree], stdout=sys.stderr)
+        shutil.rmtree(base_root, ignore_errors=True)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(reports, f, indent=1)
