@@ -622,5 +622,82 @@ TEST_P(NonFiniteInputTest, HugeVelocityTicksCleanly) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, NonFiniteInputTest, ::testing::Values(1, 4));
 
+// --- k-NN query lifecycle streams, on the single grid and 4 shards ---
+//
+// Pins the tick stream when a k-NN query is dropped or re-registered in
+// the same tick that removes one of its members: the removal's negative
+// still ships for the old incarnation, and a re-registration's answer
+// starts again from empty (every member ships as a positive).
+
+class KnnLifecycleTest : public ::testing::TestWithParam<int> {
+ protected:
+  KnnLifecycleTest() : qp_(Options()) {}
+
+  QueryProcessorOptions Options() const {
+    QueryProcessorOptions options = TestOptions(/*grid=*/8);
+    options.num_shards = GetParam();
+    return options;
+  }
+
+  void SetUp() override {
+    ASSERT_TRUE(qp_.UpsertObject(1, Point{0.50, 0.50}, 0.0).ok());
+    ASSERT_TRUE(qp_.UpsertObject(2, Point{0.52, 0.50}, 0.0).ok());
+    ASSERT_TRUE(qp_.UpsertObject(3, Point{0.90, 0.90}, 0.0).ok());
+    ASSERT_TRUE(qp_.UpsertObject(4, Point{0.45, 0.45}, 0.0).ok());
+  }
+
+  // Ticks at 1.0 and returns the stream as "(Q1, +p2)" strings.
+  std::vector<std::string> Tick1() {
+    std::vector<std::string> stream;
+    for (const Update& u : qp_.EvaluateTick(1.0).updates) {
+      stream.push_back(u.DebugString());
+    }
+    EXPECT_TRUE(qp_.CheckInvariants().ok());
+    return stream;
+  }
+
+  QueryProcessor qp_;
+};
+
+TEST_P(KnnLifecycleTest, UnregisterWithMemberRemoval) {
+  ASSERT_TRUE(qp_.RegisterKnnQuery(1, Point{0.5, 0.5}, 2).ok());
+  qp_.EvaluateTick(0.0);
+  ASSERT_TRUE(qp_.UnregisterQuery(1).ok());
+  ASSERT_TRUE(qp_.RemoveObject(2).ok());
+  EXPECT_EQ(Tick1(), (std::vector<std::string>{"(Q1, -p2)"}));
+  EXPECT_FALSE(qp_.HasQuery(1));
+}
+
+TEST_P(KnnLifecycleTest, KnnReregisteredAsRange) {
+  ASSERT_TRUE(qp_.RegisterKnnQuery(1, Point{0.5, 0.5}, 2).ok());
+  qp_.EvaluateTick(0.0);
+  ASSERT_TRUE(qp_.UnregisterQuery(1).ok());
+  ASSERT_TRUE(qp_.RegisterRangeQuery(1, Rect{0.4, 0.4, 0.6, 0.6}).ok());
+  ASSERT_TRUE(qp_.RemoveObject(2).ok());
+  EXPECT_EQ(Tick1(), (std::vector<std::string>{"(Q1, +p1)", "(Q1, -p2)",
+                                               "(Q1, +p4)"}));
+}
+
+TEST_P(KnnLifecycleTest, RangeReregisteredAsKnn) {
+  ASSERT_TRUE(qp_.RegisterRangeQuery(1, Rect{0.4, 0.4, 0.6, 0.6}).ok());
+  qp_.EvaluateTick(0.0);
+  ASSERT_TRUE(qp_.UnregisterQuery(1).ok());
+  ASSERT_TRUE(qp_.RegisterKnnQuery(1, Point{0.5, 0.5}, 1).ok());
+  ASSERT_TRUE(qp_.RemoveObject(4).ok());
+  EXPECT_EQ(Tick1(), (std::vector<std::string>{"(Q1, +p1)", "(Q1, -p4)"}));
+}
+
+TEST_P(KnnLifecycleTest, KnnReregisteredAsKnn) {
+  ASSERT_TRUE(qp_.RegisterKnnQuery(1, Point{0.5, 0.5}, 2).ok());
+  qp_.EvaluateTick(0.0);
+  ASSERT_TRUE(qp_.UnregisterQuery(1).ok());
+  ASSERT_TRUE(qp_.RegisterKnnQuery(1, Point{0.46, 0.46}, 3).ok());
+  ASSERT_TRUE(qp_.RemoveObject(2).ok());
+  EXPECT_EQ(Tick1(), (std::vector<std::string>{"(Q1, +p1)", "(Q1, -p2)",
+                                               "(Q1, +p3)", "(Q1, +p4)"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, KnnLifecycleTest, ::testing::Values(1, 4));
+
 }  // namespace
 }  // namespace stq
