@@ -7,6 +7,10 @@
 // Expected shape: the number of dirty-query re-evaluations (and hence
 // latency) tracks the update rate, while the snapshot cost is flat at
 // #queries; shipped bytes follow the same pattern as Figure 5(a).
+//
+// Both engines see identical reports, so it is also a correctness gate:
+// every period, each query's incremental answer must equal the snapshot
+// answer, or the bench exits non-zero.
 
 #include <chrono>
 #include <cstdio>
@@ -44,6 +48,7 @@ int main(int argc, char** argv) {
               num_objects, num_queries, kTicks);
   std::printf("%-12s %10s %12s %14s %14s\n", "update_rate", "updates",
               "reevals", "incr_ms", "snapshot_ms");
+  size_t compared = 0, mismatches = 0;
 
   for (int rate_pct : {1, 2, 5, 10, 30, 60, 90}) {
     stq::RoadNetwork::GridCityOptions city_options;
@@ -99,8 +104,23 @@ int main(int argc, char** argv) {
       reevals += result.stats.knn_reevaluations;
 
       start = Clock::now();
-      snapshot.EvaluateTick(now);
+      const stq::SnapshotResult truth = snapshot.EvaluateTick(now);
       snap_ms += MillisSince(start);
+
+      for (const auto& [qid, answer] : truth.answers) {
+        ++compared;
+        const stq::Result<std::vector<stq::ObjectId>> incr =
+            incremental.CurrentAnswer(qid);
+        if (!incr.ok() || *incr != answer) {
+          if (mismatches++ < 5) {
+            std::fprintf(stderr,
+                         "MISMATCH: rate %d%% period %d query %llu: the "
+                         "incremental answer differs from the snapshot\n",
+                         rate_pct, tick,
+                         static_cast<unsigned long long>(qid));
+          }
+        }
+      }
     }
     std::printf("%-11d%% %10zu %12zu %14.2f %14.2f\n", rate_pct,
                 updates / kTicks, reevals / kTicks, incr_ms / kTicks,
@@ -114,5 +134,10 @@ int main(int argc, char** argv) {
     report.Value("incremental_ms", incr_ms / kTicks);
     report.Value("snapshot_ms", snap_ms / kTicks);
   }
-  return report.Write() ? 0 : 1;
+  std::printf("\ncompared %zu answers with the snapshot: %zu mismatches\n",
+              compared, mismatches);
+  report.Param("answers_compared", compared);
+  report.Param("answer_mismatches", mismatches);
+  const bool written = report.Write();
+  return written && mismatches == 0 ? 0 : 1;
 }

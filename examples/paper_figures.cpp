@@ -78,10 +78,13 @@ void Figure2KnnQueries() {
   qp.UpsertObject(1, {0.22, 0.20}, 1.0);  // p1 drives next to Q1
   qp.UpsertObject(7, {0.95, 0.95}, 1.0);  // p7 drives away from Q2
   PrintUpdates("T1 (incremental)  ", qp.EvaluateTick(1.0).updates);
-  const stq::QueryRecord* q2 = qp.query_store().Find(2);
+  double q2_radius = 0.0;
+  qp.ForEachQueryInfo([&](const stq::QueryProcessor::QueryInfo& q) {
+    if (q.id == 2) q2_radius = q.circle.radius;
+  });
   std::printf("note: Q2's answer circle radius grew to %.3f — unlike range "
               "queries, k-NN regions change size over time\n\n",
-              q2->circle.radius);
+              q2_radius);
 }
 
 void Figure3Predictive() {

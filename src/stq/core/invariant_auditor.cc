@@ -102,14 +102,6 @@ void AuditAnswerSymmetry(const QueryProcessor& qp, ViolationSink* sink) {
         if (sink->full()) return;
       }
     }
-    if (q->kind == QueryKind::kKnn &&
-        answer.size() > static_cast<size_t>(q->k)) {
-      std::ostringstream os;
-      os << "k-NN query " << qid << " stores " << answer.size()
-         << " answer objects but k = " << q->k;
-      sink->Add(os.str());
-      if (sink->full()) return;
-    }
   }
 }
 
@@ -165,21 +157,55 @@ void AuditGridAgreement(const QueryProcessor& qp, ViolationSink* sink) {
   DiffEntryCounts(expected_queries, actual_queries, "query", sink);
 }
 
-void AuditAnswerCorrectness(const QueryProcessor& qp, ViolationSink* sink) {
+// The k-NN queries, kept at the front in both engine modes: an answer
+// holds at most k ids and equals a fresh search through the engine's
+// grids (the search the refresh runs).
+void AuditKnnAnswers(const QueryProcessor& qp, ViolationSink* sink) {
+  std::vector<QueryProcessor::QueryInfo> knn;
+  qp.ForEachQueryInfo([&](const QueryProcessor::QueryInfo& q) {
+    if (q.kind == QueryKind::kKnn) knn.push_back(q);
+  });
+  std::sort(knn.begin(), knn.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  for (const QueryProcessor::QueryInfo& q : knn) {
+    if (sink->full()) return;
+    const std::vector<ObjectId> answer = *qp.CurrentAnswer(q.id);
+    if (answer.size() > static_cast<size_t>(q.k)) {
+      std::ostringstream os;
+      os << "k-NN query " << q.id << " stores " << answer.size()
+         << " answer objects but k = " << q.k;
+      sink->Add(os.str());
+    }
+    const std::vector<ObjectId> fresh = qp.SearchKnn(q.circle.center, q.k);
+    if (fresh != answer) {
+      std::ostringstream os;
+      os << "k-NN query " << q.id << " committed answer (" << answer.size()
+         << " ids) != a fresh search (" << fresh.size() << " ids)";
+      sink->Add(os.str());
+    }
+  }
+}
+
+// Every answer (only the k-NN ones with `knn_only`) re-derived from
+// scratch (linear scan, brute-force k-NN) and compared.
+void AuditAnswerCorrectness(const QueryProcessor& qp, bool knn_only,
+                            ViolationSink* sink) {
   std::vector<QueryId> qids;
-  qp.query_store().ForEach([&](const QueryRecord& q) { qids.push_back(q.id); });
+  qp.ForEachQueryInfo([&](const QueryProcessor::QueryInfo& q) {
+    if (!knn_only || q.kind == QueryKind::kKnn) qids.push_back(q.id);
+  });
   std::sort(qids.begin(), qids.end());
   for (QueryId qid : qids) {
     if (sink->full()) return;
-    const QueryRecord* q = qp.query_store().Find(qid);
+    const std::vector<ObjectId> answer = *qp.CurrentAnswer(qid);
     Result<std::vector<ObjectId>> truth = qp.EvaluateFromScratch(qid);
     if (!truth.ok()) {
       sink->Add(truth.status().ToString());
       continue;
     }
-    if (q->SortedAnswer() != *truth) {
+    if (answer != *truth) {
       std::ostringstream os;
-      os << "query " << qid << " incremental answer (" << q->answer.size()
+      os << "query " << qid << " incremental answer (" << answer.size()
          << " objects) diverges from its from-scratch evaluation ("
          << truth->size() << " objects)";
       sink->Add(os.str());
@@ -219,9 +245,9 @@ AuditReport InvariantAuditor::AuditProcessor(const QueryProcessor& qp) const {
   }
   if (qp.sharded()) {
     // Sharded mode: every per-shard engine is a full single-grid
-    // processor, so it gets the complete structural audit; the routing
-    // and answer-composition invariants live at the router and are
-    // checked by AuditCrossShard (OList union over the shards equals the
+    // processor, so it gets the complete audit; the routing and
+    // answer-composition invariants live at the router and are checked
+    // by AuditCrossShard (OList union over the shards equals the
     // committed answer, no object double-counted, routing consistent).
     const ShardedEngine& engine = *qp.sharded_engine();
     for (int s = 0; s < engine.num_shards() && !sink.full(); ++s) {
@@ -236,12 +262,14 @@ AuditReport InvariantAuditor::AuditProcessor(const QueryProcessor& qp) const {
     if (!sink.full()) {
       engine.AuditCrossShard(options_.max_violations, &report.violations);
     }
-    return report;
+  } else {
+    AuditAnswerSymmetry(qp, &sink);
+    AuditGridAgreement(qp, &sink);
   }
-  AuditAnswerSymmetry(qp, &sink);
-  AuditGridAgreement(qp, &sink);
+  if (!sink.full()) AuditKnnAnswers(qp, &sink);
   if (options_.verify_answers_from_scratch && !sink.full()) {
-    AuditAnswerCorrectness(qp, &sink);
+    // The shard audits above re-derived their own queries already.
+    AuditAnswerCorrectness(qp, /*knn_only=*/qp.sharded(), &sink);
   }
   return report;
 }

@@ -18,17 +18,20 @@
 //      passes through, and none elsewhere.
 //   3. Grid/query agreement: each query is stubbed into exactly the cells
 //      overlapping its recorded grid footprint, and none elsewhere.
-//   4. Answer correctness (optional, O(objects x queries)): every stored
-//      answer equals its from-scratch re-evaluation.
-//   5. k-NN sanity: a k-NN answer never exceeds k objects.
+//   4. k-NN answers (kept at the front in both engine modes): an answer
+//      never exceeds k objects and equals a fresh search through the
+//      engine's grids.
+//   5. Answer correctness (optional, O(objects x queries)): every stored
+//      answer equals its from-scratch re-evaluation (brute force for
+//      k-NN).
 //
-// On a sharded processor (options().num_shards > 1) checks 1-5 run on
-// every per-shard engine, and a cross-shard pass verifies the router's
+// On a sharded processor (options().num_shards > 1) checks 1-3 and 5 run
+// on every per-shard engine, and a cross-shard pass verifies the router's
 // composition: every object lives in exactly the shards the routing rule
 // assigns it (no double counting), every query is registered in exactly
-// the shards its region overlaps, the per-shard OList union (with
-// multiplicity) equals the router's committed answer, and every k-NN
-// answer equals its cross-shard from-scratch search.
+// the shards its region overlaps, and the per-shard OList union (with
+// multiplicity) equals the router's committed answer. Checks 4 and 5 then
+// run on the front's k-NN queries.
 //
 // AuditServer additionally verifies the committed-answer repository only
 // references registered queries.
@@ -68,7 +71,7 @@ struct AuditReport {
 class InvariantAuditor {
  public:
   struct Options {
-    // Re-derive every answer from scratch and compare (check 4). The
+    // Re-derive every answer from scratch and compare (check 5). The
     // expensive part of the audit; disable for cheap structural-only
     // audits on large engines.
     bool verify_answers_from_scratch = true;

@@ -89,108 +89,154 @@ std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
   return result;
 }
 
-void KnnEvaluator::ApplyAnswer(QueryRecord* q,
-                               std::span<const Neighbor> neighbors,
-                               std::vector<Update>* out) {
-  FlatSet<ObjectId>& fresh = fresh_scratch_;
-  fresh.clear();
-  fresh.reserve(neighbors.size());
-  for (const Neighbor& n : neighbors) fresh.insert(n.id);
+// ---------------------------------------------------------------------------
+// KnnMonitor
+// ---------------------------------------------------------------------------
 
-  // Negatives: previous members no longer among the k nearest.
-  std::vector<ObjectId>& leavers = leavers_scratch_;
-  leavers.clear();
-  for (ObjectId oid : q->answer) {
-    if (!fresh.contains(oid)) leavers.push_back(oid);
+size_t KnnMonitor::BytesResident() const {
+  size_t bytes = 0;
+  for (const auto& [id, q] : queries_) {
+    bytes += q.answer.capacity() * sizeof(ObjectId);
   }
-  for (ObjectId oid : leavers) {
-    SetMembership(state_.objects->FindMutable(oid), q, false, out);
-  }
-  // Positives: new members.
-  for (const Neighbor& n : neighbors) {
-    SetMembership(state_.objects->FindMutable(n.id), q, true, out);
-  }
-
-  // The answer circle: radius = distance to the k-th nearest neighbor.
-  // While the database holds fewer than k objects, any future object
-  // anywhere could enter the answer, so the circle covers the whole space.
-  if (neighbors.size() < static_cast<size_t>(q->k)) {
-    q->circle.radius = std::numeric_limits<double>::infinity();
-    q->knn_dist2 = std::numeric_limits<double>::infinity();
-  } else {
-    q->knn_dist2 = neighbors.back().dist2;
-    q->circle.radius = std::sqrt(neighbors.back().dist2);
-  }
-
-  // Re-clip the grid footprint to the new circle's bounding box
-  // (intersected with the space bounds; an infinite radius covers all).
-  // The tiny expansion absorbs the radius' square-root rounding so exact
-  // tie-distance objects stay inside the footprint.
-  const Rect& bounds = state_.grid->bounds();
-  Rect footprint =
-      std::isinf(q->circle.radius)
-          ? bounds
-          : q->circle.BoundingBox().Expanded(1e-12).Intersection(bounds);
-  if (footprint.IsEmpty()) {
-    // Circle of radius 0 (k-th neighbor exactly at the focal point) or a
-    // focal point outside the space: keep at least the focal cell.
-    const CellCoord c = state_.grid->CellOf(q->circle.center);
-    footprint = state_.grid->CellBounds(c);
-  }
-  if (!(footprint == q->grid_footprint)) {
-    if (!q->grid_footprint.IsEmpty()) {
-      state_.grid->RemoveQuery(q->id, q->grid_footprint);
-    }
-    state_.grid->InsertQuery(q->id, footprint);
-    q->grid_footprint = footprint;
-  }
+  return bytes;
 }
 
-size_t KnnEvaluator::ReevaluateDirty(std::vector<Update>* out,
-                                     ThreadPool* pool) {
-  SearchDirty(pool);
-  return ApplyDirty(out);
+bool KnnMonitor::Take(const PendingQueryChange& c,
+                      const std::vector<ObjectId>& removals,
+                      std::vector<Update>* out, TickStats* stats) {
+  Query* q = queries_.FindPtr(c.id);
+  switch (c.kind) {
+    case QueryChangeKind::kRegisterKnn:
+      // A re-registration drops the old incarnation first; the new one
+      // starts from an empty answer.
+      if (q != nullptr) Drop(c.id, removals, out, stats);
+      q = &queries_[c.id];
+      q->k = c.k;
+      [[fallthrough]];
+    case QueryChangeKind::kMove:
+      if (q == nullptr) return false;
+      q->center = c.center;
+      q->moved = true;
+      ++stats->query_changes_applied;
+      return true;
+    case QueryChangeKind::kUnregister:
+      if (q == nullptr) return false;
+      Drop(c.id, removals, out, stats);
+      return true;
+    case QueryChangeKind::kRegisterRange:
+    case QueryChangeKind::kRegisterPredictive:
+    case QueryChangeKind::kRegisterCircle:
+      if (q != nullptr) Drop(c.id, removals, out, stats);
+      return false;
+  }
+  return false;
 }
 
-void KnnEvaluator::SearchDirty(ThreadPool* pool) {
-  // One slot per still-live k-NN query; Allocate orders them by query
-  // id, so the apply order does not depend on hash iteration.
-  AnswerSlots& answers = answers_scratch_;
-  answers.Clear();
-  const size_t population = state_.objects->size();
-  for (QueryId qid : dirty_) {
-    const QueryRecord* q = state_.queries->Find(qid);
-    if (q != nullptr && q->kind == QueryKind::kKnn) {
-      answers.Add(qid, q->k, population);
+void KnnMonitor::Drop(QueryId id, const std::vector<ObjectId>& removals,
+                      std::vector<Update>* out, TickStats* stats) {
+  for (ObjectId oid : queries_.FindPtr(id)->answer) {
+    if (std::binary_search(removals.begin(), removals.end(), oid)) {
+      out->push_back(Update::Negative(id, oid));
     }
   }
-  dirty_.clear();
-  answers.Allocate();
+  queries_.erase(id);
+  ++stats->queries_unregistered;
+}
 
-  // The searches touch only const state (grid cells, object locations),
-  // never the answer sets or footprints ApplyDirty rewrites, and each
-  // writes only its own slot, so running them concurrently is race-free
-  // and the slots match a serial run.
-  auto search_one = [&](size_t i) {
-    Search(state_.queries->Find(answers.qid(i))->circle.center,
-           answers.best(i));
-  };
-  if (pool != nullptr) {
-    pool->RunDynamic(answers.size(), search_one);
-  } else {
-    for (size_t i = 0; i < answers.size(); ++i) search_one(i);
+void KnnMonitor::PrepareSlots(size_t population) {
+  slots_.Clear();
+  for (const auto& [id, q] : queries_) slots_.Add(id, q.k, population);
+  slots_.Allocate();
+  searched_.assign(slots_.size(), 0);
+}
+
+bool KnnMonitor::Disturbed(const Query& q, const ReportBatch& batch) const {
+  if (q.moved) return true;
+  for (ObjectId oid : q.answer) {
+    if (std::binary_search(batch.removals.begin(), batch.removals.end(),
+                           oid)) {
+      return true;
+    }
+    const auto u = std::lower_bound(
+        batch.upserts.begin(), batch.upserts.end(), oid,
+        [](const PendingObjectUpsert& a, ObjectId id) { return a.id < id; });
+    if (u != batch.upserts.end() && u->id == oid) return true;
+  }
+  return touched_.AnyWithin(q.center, q.dist2);
+}
+
+void KnnMonitor::TouchedLocations::Build(
+    const std::vector<PendingObjectUpsert>& upserts) {
+  points_.clear();
+  if (upserts.empty()) return;
+  min_ = upserts[0].loc;
+  Point max = min_;
+  for (const PendingObjectUpsert& u : upserts) {
+    min_ = Point{std::min(min_.x, u.loc.x), std::min(min_.y, u.loc.y)};
+    max = Point{std::max(max.x, u.loc.x), std::max(max.y, u.loc.y)};
+  }
+  side_ = std::clamp(
+      static_cast<int>(std::ceil(std::sqrt(upserts.size() / 2.0))), 1, 1024);
+  scale_ = Point{max.x > min_.x ? side_ / (max.x - min_.x) : 0.0,
+                 max.y > min_.y ? side_ / (max.y - min_.y) : 0.0};
+  // Counting sort by cell: count, prefix-sum to each cell's end, then
+  // fill every cell back to front, leaving starts_[c] at its begin.
+  const size_t cells = static_cast<size_t>(side_) * side_;
+  starts_.assign(cells + 1, 0);
+  for (const PendingObjectUpsert& u : upserts) ++starts_[Cell(u.loc)];
+  for (size_t c = 1; c <= cells; ++c) starts_[c] += starts_[c - 1];
+  points_.resize(upserts.size());
+  for (const PendingObjectUpsert& u : upserts) {
+    points_[--starts_[Cell(u.loc)]] = u.loc;
   }
 }
 
-size_t KnnEvaluator::ApplyDirty(std::vector<Update>* out) {
-  AnswerSlots& answers = answers_scratch_;
-  for (size_t i = 0; i < answers.size(); ++i) {
-    QueryRecord* q = state_.queries->FindMutable(answers.qid(i));
-    STQ_DCHECK(q != nullptr);
-    ApplyAnswer(q, answers.answer(i), out);
+bool KnnMonitor::TouchedLocations::AnyWithin(const Point& c, double r2) const {
+  if (points_.empty()) return false;
+  if (std::isinf(r2)) return true;
+  // Any location within sqrt(r2) of `c` lies in the cells the circle's
+  // bounding box overlaps: the cell index is monotone in the coordinate,
+  // and the 1e-9 relative margin covers every rounding step between the
+  // squared-distance test and the box edges.
+  const double r = std::sqrt(r2) * (1.0 + 1e-9);
+  const int x0 = CellX(c.x - r), x1 = CellX(c.x + r);
+  const int y0 = CellY(c.y - r), y1 = CellY(c.y + r);
+  for (int y = y0; y <= y1; ++y) {
+    const size_t row = static_cast<size_t>(y) * side_;
+    for (uint32_t i = starts_[row + x0]; i < starts_[row + x1 + 1]; ++i) {
+      if (SquaredDistance(c, points_[i]) <= r2) return true;
+    }
   }
-  const size_t applied = answers.size();
-  answers.Clear();  // consumed: a second call applies nothing
+  return false;
+}
+
+size_t KnnMonitor::ApplySearched(std::vector<Update>* out) {
+  size_t applied = 0;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (!searched_[i]) continue;
+    const QueryId qid = slots_.qid(i);
+    Query& q = *queries_.FindPtr(qid);
+    const std::span<const KnnEvaluator::Neighbor> neighbors = slots_.answer(i);
+    fresh_.clear();
+    for (const KnnEvaluator::Neighbor& n : neighbors) fresh_.push_back(n.id);
+    std::sort(fresh_.begin(), fresh_.end());
+    for (ObjectId oid : q.answer) {
+      if (!std::binary_search(fresh_.begin(), fresh_.end(), oid)) {
+        out->push_back(Update::Negative(qid, oid));
+      }
+    }
+    for (ObjectId oid : fresh_) {
+      if (!std::binary_search(q.answer.begin(), q.answer.end(), oid)) {
+        out->push_back(Update::Positive(qid, oid));
+      }
+    }
+    q.answer.assign(fresh_.begin(), fresh_.end());
+    q.dist2 = neighbors.size() == static_cast<size_t>(q.k)
+                  ? neighbors.back().dist2
+                  : std::numeric_limits<double>::infinity();
+    q.moved = false;
+    ++applied;
+  }
   return applied;
 }
 

@@ -7,10 +7,10 @@
 //
 // Contract: every kernel computes the *exact* same predicate as the
 // corresponding scalar evaluator (RangeEvaluator/CircleEvaluator/
-// PredictiveEvaluator::Satisfies and the k-NN dirtiness test) — same
-// IEEE operations, no reassociation, no FMA contraction — so the batch
-// pass and EvaluateFromScratch agree bit for bit. The loops are plain
-// portable C++ (no intrinsics; see DESIGN.md, "Why one path").
+// PredictiveEvaluator::Satisfies) — same IEEE operations, no
+// reassociation, no FMA contraction — so the batch pass and
+// EvaluateFromScratch agree bit for bit. The loops are plain portable C++
+// (no intrinsics; see DESIGN.md, "Why one path").
 
 #ifndef STQ_CORE_MATCH_KERNELS_H_
 #define STQ_CORE_MATCH_KERNELS_H_
@@ -32,8 +32,7 @@ void PointsInRect(const double* x, const double* y, size_t n, const Rect& r,
                   uint64_t* bits);
 
 // Squared-distance threshold: (x[i]-c.x)^2 + (y[i]-c.y)^2 <= r2. With
-// r2 = radius * radius this is Circle::Contains; with r2 = knn_dist2 it
-// is the k-NN dirtiness test.
+// r2 = radius * radius this is Circle::Contains.
 void PointsInCircle(const double* x, const double* y, size_t n,
                     const Point& c, double r2, uint64_t* bits);
 

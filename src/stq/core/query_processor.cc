@@ -42,6 +42,23 @@ Status UnknownQuery(QueryId id) {
   return Status::NotFound(os.str());
 }
 
+// The exact membership predicate of every query kind the grid holds.
+bool Satisfies(const ObjectRecord& o, const QueryRecord& q,
+               const QueryProcessorOptions& options) {
+  switch (q.kind) {
+    case QueryKind::kRange:
+      return RangeEvaluator::Satisfies(o, q);
+    case QueryKind::kPredictiveRange:
+      return PredictiveEvaluator::Satisfies(o, q, options);
+    case QueryKind::kCircleRange:
+      return CircleEvaluator::Satisfies(o, q, options.bounds);
+    case QueryKind::kKnn:
+      break;
+  }
+  STQ_DCHECK(false) << "k-NN query " << q.id << " in the grid";
+  return false;
+}
+
 }  // namespace
 
 QueryProcessor::QueryProcessor(const QueryProcessorOptions& options)
@@ -95,6 +112,14 @@ std::optional<Timestamp> QueryProcessor::AppliedReportTime(
 
 std::optional<QueryProcessor::CommittedQuery>
 QueryProcessor::FindCommittedQuery(QueryId id) const {
+  if (knn_monitor_.Find(id) != nullptr) {
+    return CommittedQuery{QueryKind::kKnn, 0.0};
+  }
+  return FindEngineQuery(id);
+}
+
+std::optional<QueryProcessor::CommittedQuery>
+QueryProcessor::FindEngineQuery(QueryId id) const {
   if (sharded_ != nullptr) return sharded_->FindCommittedQuery(id);
   if (const QueryRecord* q = queries_.Find(id); q != nullptr) {
     return CommittedQuery{q->kind, q->circle.radius};
@@ -386,14 +411,12 @@ void QueryProcessor::ApplyObjectRemovals(const std::vector<ObjectId>& removals,
     ObjectRecord* o = objects_.FindMutable(id);
     STQ_CHECK(o != nullptr) << "buffered removal of unknown object " << id;
     // Ship negatives for every answer the object participated in (copied:
-    // SetMembership edits the QList under our feet); a k-NN query losing
-    // a member must refill from the grid.
+    // SetMembership edits the QList under our feet).
     const auto memberships = o->queries;
     for (QueryId qid : memberships) {
       QueryRecord* q = queries_.FindMutable(qid);
       STQ_DCHECK(q != nullptr);
       SetMembership(o, q, false, out);
-      if (q->kind == QueryKind::kKnn) knn_.MarkDirty(qid);
     }
     if (o->predictive) {
       grid_->RemoveObjectFootprint(id, o->footprint);
@@ -508,20 +531,9 @@ void QueryProcessor::ApplyQueryChanges(
         ++stats->query_changes_applied;
         break;
       }
-      case QueryChangeKind::kRegisterKnn: {
-        QueryRecord rec;
-        rec.id = c.id;
-        rec.kind = QueryKind::kKnn;
-        rec.circle = Circle{c.center, 0.0};
-        rec.k = c.k;
-        rec.t = now;
-        // The grid footprint is installed by the k-NN evaluator once the
-        // first answer (and hence the circle radius) is known.
-        queries_.Insert(std::move(rec));
-        knn_.MarkDirty(c.id);
-        ++stats->query_changes_applied;
+      case QueryChangeKind::kRegisterKnn:
+        STQ_CHECK(false) << "k-NN registrations stay with the front";
         break;
-      }
       case QueryChangeKind::kRegisterCircle: {
         QueryRecord rec;
         rec.id = c.id;
@@ -540,10 +552,7 @@ void QueryProcessor::ApplyQueryChanges(
         QueryRecord* q = queries_.FindMutable(c.id);
         STQ_CHECK(q != nullptr) << "buffered move of unknown query";
         q->t = now;
-        if (q->kind == QueryKind::kKnn) {
-          q->circle.center = c.center;
-          knn_.MarkDirty(c.id);
-        } else if (q->kind == QueryKind::kCircleRange) {
+        if (q->kind == QueryKind::kCircleRange) {
           q->circle.center = c.center;
           const Rect footprint =
               CircleEvaluator::FootprintOf(*q, options_.bounds);
@@ -606,25 +615,8 @@ void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
     for (QueryId qid : o->queries) {
       const QueryRecord* q = queries_.Find(qid);
       STQ_DCHECK(q != nullptr) << "QList references missing query " << qid;
-      switch (q->kind) {
-        case QueryKind::kRange:
-          if (!RangeEvaluator::Satisfies(*o, *q)) {
-            out->deltas.push_back(MatchDelta{qid, oid, false});
-          }
-          break;
-        case QueryKind::kPredictiveRange:
-          if (!PredictiveEvaluator::Satisfies(*o, *q, options_)) {
-            out->deltas.push_back(MatchDelta{qid, oid, false});
-          }
-          break;
-        case QueryKind::kCircleRange:
-          if (!CircleEvaluator::Satisfies(*o, *q, options_.bounds)) {
-            out->deltas.push_back(MatchDelta{qid, oid, false});
-          }
-          break;
-        case QueryKind::kKnn:
-          out->knn_dirty.push_back(qid);
-          break;
+      if (!Satisfies(*o, *q, options_)) {
+        out->deltas.push_back(MatchDelta{qid, oid, false});
       }
     }
 
@@ -644,31 +636,8 @@ void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
     for (QueryId qid : candidates) {
       const QueryRecord* q = queries_.Find(qid);
       STQ_DCHECK(q != nullptr) << "grid stub references missing query " << qid;
-      switch (q->kind) {
-        case QueryKind::kRange:
-          if (RangeEvaluator::Satisfies(*o, *q)) {
-            out->deltas.push_back(MatchDelta{qid, oid, true});
-          }
-          break;
-        case QueryKind::kPredictiveRange:
-          if (PredictiveEvaluator::Satisfies(*o, *q, options_)) {
-            out->deltas.push_back(MatchDelta{qid, oid, true});
-          }
-          break;
-        case QueryKind::kCircleRange:
-          if (CircleEvaluator::Satisfies(*o, *q, options_.bounds)) {
-            out->deltas.push_back(MatchDelta{qid, oid, true});
-          }
-          break;
-        case QueryKind::kKnn:
-          // Entering the answer circle can displace the current k-th
-          // neighbor; refill lazily at the k-NN phase. The comparison
-          // uses the exact squared threshold (not the rounded radius) so
-          // exact distance ties dirty the query too.
-          if (SquaredDistance(q->circle.center, o->loc) <= q->knn_dist2) {
-            out->knn_dirty.push_back(qid);
-          }
-          break;
+      if (Satisfies(*o, *q, options_)) {
+        out->deltas.push_back(MatchDelta{qid, oid, true});
       }
     }
   }
@@ -729,18 +698,9 @@ void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
                        b.bits2.data());
           for (size_t w = 0; w < words; ++w) b.bits[w] &= b.bits2[w];
           break;
-        case QueryKind::kKnn: {
-          PointsInCircle(b.x.data(), b.y.data(), n, q->circle.center,
-                         q->knn_dist2, b.bits.data());
-          for (size_t w = 0; w < words; ++w) {
-            if (b.bits[w] != 0) {
-              // One mark suffices: the dirty set deduplicates.
-              out->knn_dirty.push_back(qid);
-              break;
-            }
-          }
+        case QueryKind::kKnn:
+          STQ_DCHECK(false) << "k-NN query " << qid << " in the grid";
           return;
-        }
       }
       for (size_t w = 0; w < words; ++w) {
         uint64_t word = b.bits[w];
@@ -768,7 +728,6 @@ void QueryProcessor::ApplyMatchDeltas(std::vector<MatchOutput>& outputs,
       STQ_DCHECK(o != nullptr && q != nullptr);
       SetMembership(o, q, d.add, out);
     }
-    for (QueryId qid : m.knn_dirty) knn_.MarkDirty(qid);
   }
 }
 
@@ -837,11 +796,24 @@ TickResult QueryProcessor::EvaluateTick(Timestamp now) {
     }
   }
 
+  // The k-NN queries are the front's: their changes leave the batch
+  // before the engine sees it, and their answers refresh once the engine
+  // has applied the rest, on whichever engine owns the pool.
+  knn_monitor_.TakeChanges(
+      &batch, [this](QueryId id) { return FindEngineQuery(id).has_value(); },
+      out, stats);
   if (sharded_ != nullptr) {
     sharded_->TickBatch(batch, now, out, stats);
   } else {
     TickBatch(batch, now, out, stats);
   }
+  knn_monitor_.Refresh(
+      batch, num_objects(),
+      sharded_ != nullptr ? sharded_->pool_.get() : pool_.get(),
+      [this](const Point& center, KnnEvaluator::KBest* best) {
+        SearchKnn(center, best);
+      },
+      out, stats);
 
   // Seal the tick.
   {
@@ -872,7 +844,7 @@ void QueryProcessor::TickBatch(const ReportBatch& batch, Timestamp now,
   changed_rects.clear();
   moved_circles.clear();
 
-  // The single grid is one "shard": wall == busy == max over phases 1-6.
+  // The single grid is one "shard": wall == busy == max over phases 1-5.
   // Populated in every mode so the ablation's single-grid baseline row is
   // directly comparable to the sharded rows.
   double tick_wall = 0.0;
@@ -905,14 +877,6 @@ void QueryProcessor::TickBatch(const ReportBatch& batch, Timestamp now,
     // match, serial apply; times the halves into
     // object_match/apply_seconds).
     RunObjectPass(moved, out, stats);
-    // Phase 6: re-evaluate the k-NN queries dirtied by phases 1-5
-    // (parallel searches, serial answer application).
-    {
-      PhaseTimer timer(&stats->knn_search_seconds);
-      knn_.SearchDirty(pool_.get());
-    }
-    PhaseTimer timer(&stats->knn_apply_seconds);
-    stats->knn_reevaluations = knn_.ApplyDirty(out);
   }
   stats->shards_ticked = 1;
   stats->shard_tick_wall_seconds += tick_wall;
@@ -920,7 +884,7 @@ void QueryProcessor::TickBatch(const ReportBatch& batch, Timestamp now,
   stats->shard_tick_max_seconds =
       std::max(stats->shard_tick_max_seconds, tick_wall);
 
-  // Phase 7 (adaptive mode only): resolution maintenance on the
+  // Phase 6 (adaptive mode only): resolution maintenance on the
   // now-committed state. Pure index re-bucketing — it never touches the
   // update stream, and the next tick's exact-geometry matching is
   // resolution-independent, so this is invisible in every future stream.
@@ -939,6 +903,7 @@ void QueryProcessor::TickBatch(const ReportBatch& batch, Timestamp now,
 Result<std::vector<ObjectId>> QueryProcessor::CurrentAnswer(
     QueryId id) const {
   if (!HasQuery(id)) return UnknownQuery(id);
+  if (const KnnMonitor::Query* q = knn_monitor_.Find(id)) return q->answer;
   if (sharded_ != nullptr) return sharded_->CurrentAnswer(id);
   return queries_.Find(id)->SortedAnswer();
 }
@@ -946,39 +911,44 @@ Result<std::vector<ObjectId>> QueryProcessor::CurrentAnswer(
 Result<std::vector<ObjectId>> QueryProcessor::EvaluateFromScratch(
     QueryId id) const {
   if (!HasQuery(id)) return UnknownQuery(id);
-  if (sharded_ != nullptr) return sharded_->EvaluateFromScratch(id);
-  const QueryRecord* q = queries_.Find(id);
   std::vector<ObjectId> answer;
-  switch (q->kind) {
-    case QueryKind::kRange:
-      objects_.ForEach([&](const ObjectRecord& o) {
-        if (RangeEvaluator::Satisfies(o, *q)) answer.push_back(o.id);
-      });
-      break;
-    case QueryKind::kPredictiveRange:
-      objects_.ForEach([&](const ObjectRecord& o) {
-        if (PredictiveEvaluator::Satisfies(o, *q, options_)) {
-          answer.push_back(o.id);
-        }
-      });
-      break;
-    case QueryKind::kCircleRange:
-      objects_.ForEach([&](const ObjectRecord& o) {
-        if (CircleEvaluator::Satisfies(o, *q, options_.bounds)) {
-          answer.push_back(o.id);
-        }
-      });
-      break;
-    case QueryKind::kKnn:
-      answer = KnnEvaluator::NearestByBruteForce(
-          q->circle.center, q->k, [&](auto&& visit) {
-            objects_.ForEach(
-                [&](const ObjectRecord& o) { visit(o.id, o.loc); });
-          });
-      break;
+  if (const KnnMonitor::Query* q = knn_monitor_.Find(id)) {
+    answer = KnnEvaluator::NearestByBruteForce(
+        q->center, q->k, [&](auto&& visit) {
+          ForEachObjectInfo([&](const ObjectInfo& o) { visit(o.id, o.loc); });
+        });
+  } else if (sharded_ != nullptr) {
+    return sharded_->EvaluateFromScratch(id);
+  } else {
+    const QueryRecord* q = queries_.Find(id);
+    objects_.ForEach([&](const ObjectRecord& o) {
+      if (Satisfies(o, *q, options_)) answer.push_back(o.id);
+    });
   }
   std::sort(answer.begin(), answer.end());
   return answer;
+}
+
+void QueryProcessor::SearchKnn(const Point& center,
+                               KnnEvaluator::KBest* best) const {
+  if (sharded_ != nullptr) {
+    sharded_->SearchKnn(center, best);
+  } else {
+    knn_.Search(center, best);
+  }
+}
+
+std::vector<ObjectId> QueryProcessor::SearchKnn(const Point& center,
+                                                int k) const {
+  std::vector<KnnEvaluator::Neighbor> found(
+      KnnEvaluator::AnswerSlots::Capacity(k, num_objects()));
+  KnnEvaluator::KBest best{found.data(), found.size(), 0};
+  SearchKnn(center, &best);
+  std::vector<ObjectId> ids;
+  ids.reserve(best.size);
+  for (size_t i = 0; i < best.size; ++i) ids.push_back(found[i].id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 Result<std::vector<ObjectId>> QueryProcessor::EvaluatePastRangeQuery(
@@ -1002,7 +972,8 @@ size_t QueryProcessor::num_objects() const {
 }
 
 size_t QueryProcessor::num_queries() const {
-  return sharded_ != nullptr ? sharded_->num_queries() : queries_.size();
+  return knn_monitor_.size() +
+         (sharded_ != nullptr ? sharded_->num_queries() : queries_.size());
 }
 
 size_t QueryProcessor::pending_reports() const {
@@ -1049,6 +1020,11 @@ GridIndex& QueryProcessor::grid_for_testing() {
 }
 
 bool QueryProcessor::GetAnswerSet(QueryId id, AnswerSet* out) const {
+  if (const KnnMonitor::Query* q = knn_monitor_.Find(id)) {
+    out->clear();
+    out->insert(q->answer.begin(), q->answer.end());
+    return true;
+  }
   if (sharded_ != nullptr) return sharded_->GetAnswerSet(id, out);
   out->clear();
   const QueryRecord* q = queries_.Find(id);
@@ -1058,8 +1034,8 @@ bool QueryProcessor::GetAnswerSet(QueryId id, AnswerSet* out) const {
 }
 
 size_t QueryProcessor::AnswerBytesResident() const {
-  if (sharded_ != nullptr) return sharded_->AnswerBytesResident();
-  size_t bytes = 0;
+  size_t bytes = knn_monitor_.BytesResident();
+  if (sharded_ != nullptr) return bytes + sharded_->AnswerBytesResident();
   queries_.ForEach(
       [&](const QueryRecord& q) { bytes += q.answer.bytes_resident(); });
   return bytes;
@@ -1095,6 +1071,15 @@ void QueryProcessor::ForEachObjectInfo(
 void QueryProcessor::ForEachQueryInfo(
     // stq-lint: allow(alloc-discipline/function): cold introspection walk
     const std::function<void(const QueryInfo&)>& fn) const {
+  knn_monitor_.ForEach([&](QueryId id, const KnnMonitor::Query& q) {
+    QueryInfo info;
+    info.id = id;
+    info.kind = QueryKind::kKnn;
+    info.circle = Circle{q.center, std::sqrt(q.dist2)};
+    info.k = q.k;
+    info.answer_size = q.answer.size();
+    fn(info);
+  });
   if (sharded_ != nullptr) {
     sharded_->ForEachQueryInfo(fn);
     return;
@@ -1105,7 +1090,6 @@ void QueryProcessor::ForEachQueryInfo(
     info.kind = q.kind;
     info.region = q.region;
     info.circle = q.circle;
-    info.k = q.k;
     info.t_from = q.t_from;
     info.t_to = q.t_to;
     info.answer_size = q.answer.size();

@@ -25,6 +25,11 @@
 // options.worker_threads workers and replays the resulting deltas
 // serially, so the update stream is byte-identical for every worker
 // count (see DESIGN.md, "Threading model").
+//
+// k-NN queries live here at the front, in one KnnMonitor for both
+// engines: each tick takes their changes out of the drained batch and,
+// once the engine has applied the rest, re-searches the disturbed ones
+// through the engine's grids. The engines never hold a k-NN query.
 
 #ifndef STQ_CORE_QUERY_PROCESSOR_H_
 #define STQ_CORE_QUERY_PROCESSOR_H_
@@ -150,8 +155,11 @@ class QueryProcessor {
   // Engine-independent views over the stored objects and queries, valid
   // in both modes (iteration order is unspecified; sort by id for
   // deterministic output). `answer_size` is the committed answer's
-  // cardinality; `qlist_size` is the object's QList length (0 in sharded
-  // mode, where QLists live inside the per-shard stores).
+  // cardinality; `qlist_size` is the object's QList length, which counts
+  // no k-NN memberships (0 in sharded mode, where QLists live inside the
+  // per-shard stores). A k-NN query's `circle` is its answer circle: the
+  // focal point and the distance to the k-th neighbour (+inf while fewer
+  // than k objects exist).
   struct ObjectInfo {
     ObjectId id = 0;
     Point loc;
@@ -193,6 +201,11 @@ class QueryProcessor {
   // incremental state (linear scan / brute-force k-NN). Ground truth for
   // tests and baselines.
   Result<std::vector<ObjectId>> EvaluateFromScratch(QueryId id) const;
+
+  // A fresh exact search for the k objects nearest `center` through the
+  // engine's grids (the search the k-NN refresh runs), sorted by id. The
+  // structural audit checks every committed k-NN answer against it.
+  std::vector<ObjectId> SearchKnn(const Point& center, int k) const;
 
   // Verifies every engine invariant by running a full InvariantAuditor
   // pass (answer/QList symmetry, grid/store agreement, every stored
@@ -237,10 +250,10 @@ class QueryProcessor {
   EngineState state();
 
   // The single-grid batch tick: applies one drained, id-ordered batch
-  // (phases 1-6 plus adaptive refinement), appending the raw update
-  // stream to `out` and the phase timings to `stats`. The front calls it
-  // in single-grid mode; the sharded router calls it on every shard with
-  // that shard's routed sub-batch.
+  // free of k-NN changes (phases 1-5 plus adaptive refinement), appending
+  // the raw update stream to `out` and the phase timings to `stats`. The
+  // front calls it in single-grid mode; the sharded router calls it on
+  // every shard with that shard's routed sub-batch.
   void TickBatch(const ReportBatch& batch, Timestamp now,
                  std::vector<Update>* out, TickStats* stats);
 
@@ -253,12 +266,17 @@ class QueryProcessor {
   // The committed state the front validates reports against, answered
   // by whichever engine holds it: an object's applied report time, and a
   // query's kind and circle radius. nullopt when the id is unknown.
+  // FindEngineQuery skips the front's k-NN queries.
   struct CommittedQuery {
     QueryKind kind = QueryKind::kRange;
     double radius = 0.0;  // kCircleRange only
   };
   std::optional<Timestamp> AppliedReportTime(ObjectId id) const;
   std::optional<CommittedQuery> FindCommittedQuery(QueryId id) const;
+  std::optional<CommittedQuery> FindEngineQuery(QueryId id) const;
+
+  // Offers `best` every object of the engine that can beat its bound.
+  void SearchKnn(const Point& center, KnnEvaluator::KBest* best) const;
 
   // Tick phases. Each appends to `out` and updates `stats`.
   void ApplyObjectRemovals(const std::vector<ObjectId>& removals,
@@ -283,8 +301,8 @@ class QueryProcessor {
   //
   //   match  (parallel)  each shard scans its slice of `moved` against
   //                      the grid and the stores — strictly read-only —
-  //                      and records membership deltas and k-NN dirty
-  //                      marks in its own MatchOutput;
+  //                      and records membership deltas in its own
+  //                      MatchOutput;
   //   apply  (serial)    the deltas replay through SetMembership in
   //                      shard order, which is exactly the order the
   //                      serial pass would have produced.
@@ -309,7 +327,6 @@ class QueryProcessor {
   };
   struct MatchOutput {
     std::vector<MatchDelta> deltas;
-    std::vector<QueryId> knn_dirty;
     // Per-shard candidate scratch for CollectQueriesInRect; lives here so
     // its capacity survives across ticks with the rest of the output.
     std::vector<QueryId> candidates;
@@ -319,7 +336,6 @@ class QueryProcessor {
 
     void clear() {
       deltas.clear();
-      knn_dirty.clear();
       candidates.clear();
       probes.clear();
       batch.clear();
@@ -365,14 +381,15 @@ class QueryProcessor {
   QueryProcessorOptions options_;
   std::unique_ptr<HistoryStore> history_;  // null unless record_history
   // Fork/join pool for the matching and k-NN search phases; null when
-  // the resolved worker count is 1 (fully serial tick).
+  // the resolved worker count is 1 (fully serial tick) and in sharded
+  // mode, where the engine owns the pool.
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<GridIndex> grid_;
   ObjectStore objects_;
   QueryStore queries_;
   UpdateBuffer buffer_;
   RangeEvaluator range_;
-  KnnEvaluator knn_;
+  KnnEvaluator knn_;  // the single grid's k-NN search
   PredictiveEvaluator predictive_;
   CircleEvaluator circle_;
   TickScratch scratch_;
@@ -381,10 +398,13 @@ class QueryProcessor {
   // tick (stream-invisible; see core/grid_refiner.h).
   std::unique_ptr<GridRefiner> refiner_;
   Timestamp last_tick_time_ = 0.0;
-  // Non-null iff options.num_shards > 1. The front (buffer_, history_)
-  // stays here; evaluation and the committed state live in the sharded
-  // engine, and the single-grid members above stay empty.
+  // Non-null iff options.num_shards > 1. The front (buffer_, history_,
+  // knn_monitor_) stays here; evaluation and the rest of the committed
+  // state live in the sharded engine, and the single-grid members above
+  // stay empty.
   std::unique_ptr<ShardedEngine> sharded_;
+  // Every k-NN query, in both modes.
+  KnnMonitor knn_monitor_;
 };
 
 }  // namespace stq

@@ -7,13 +7,15 @@
 // We keep one record per query holding its full answer set (the union of
 // the paper's per-cell OLists); the grid holds the per-cell stubs. The
 // store doubles as the auxiliary index that maps a QID to the query's old
-// region.
+// region. A QueryProcessor's store holds range, predictive and circle
+// queries; its k-NN queries live in the front's KnnMonitor
+// (core/knn_evaluator.h), and only the SnapshotProcessor baseline stores
+// k-NN records here.
 
 #ifndef STQ_CORE_QUERY_STORE_H_
 #define STQ_CORE_QUERY_STORE_H_
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "stq/common/clock.h"
@@ -39,27 +41,20 @@ struct QueryRecord {
   Timestamp t = 0.0;  // timestamp of the last report from the query
 
   // kRange / kPredictiveRange: the query rectangle.
-  // kKnn: unused (see `circle`).
   Rect region;
 
-  // kKnn: the query point and the current answer circle; the radius is
-  // the distance to the k-th nearest neighbor (infinity while the
-  // database holds fewer than k objects).
   // kCircleRange: the query disk itself (client-chosen, fixed radius).
+  // kKnn: the focal point (center; the radius is unused).
   Circle circle;
   int k = 0;  // kKnn only
-  // kKnn only: the exact squared distance to the k-th nearest neighbor
-  // (the circle radius is its rounded square root; membership/dirtiness
-  // tests must use this exact value to keep ties stable).
-  double knn_dist2 = std::numeric_limits<double>::infinity();
 
   // kPredictiveRange only: absolute time window of interest.
   double t_from = 0.0;
   double t_to = 0.0;
 
   // The rectangle currently clipped into the grid for this query (the
-  // region for range kinds, the circle's bounding box for k-NN). Empty
-  // when the query has no grid stubs yet.
+  // region for range kinds, the disk's bounding box for circles). Empty
+  // when the query has no grid stubs.
   Rect grid_footprint;
 
   // The answer currently reported to the client, in the density-adaptive

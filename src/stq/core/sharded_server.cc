@@ -1,8 +1,6 @@
 #include "stq/core/sharded_server.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -14,8 +12,6 @@
 namespace stq {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // One (query, object) answer-stream delta during the merge. `d` sums the
 // +1/-1 shard updates and the -1 move-away captures for the pair; `plus`
@@ -80,16 +76,6 @@ void MergeStreams(const std::vector<MergeEntry>& a,
   out->insert(out->end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
 }
 
-// True when some point lies within squared distance `r2` of `center`
-// (closed: a tie counts).
-bool AnyWithin(const std::vector<Point>& points, const Point& center,
-               double r2) {
-  for (const Point& p : points) {
-    if (SquaredDistance(center, p) <= r2) return true;
-  }
-  return false;
-}
-
 // Snapshot of a query that is unregistered (or unregistered and
 // re-registered) within this tick. The single-grid engine ships phase-1
 // removal negatives for the OLD incarnation and, on re-registration, a
@@ -126,21 +112,9 @@ struct ShardedEngine::TickScratch {
   std::vector<std::vector<MergeEntry>*> tree_next;
   std::vector<Reset> resets;            // ascending qid (change order)
   std::vector<ObjectId> reset_members;  // flattened Reset snapshots
-  // The locations this tick's object reports touched: a removal's old
-  // location, an upsert's new one and, for a known object, its old one.
-  // Mirrors the single-grid engine, where a removal re-tests the old
-  // location and an upsert both the old membership and the new candidate
-  // probes against each answer circle.
-  std::vector<Point> knn_points;
   std::vector<int> ticked;
   std::vector<double> shard_walls;  // indexed by position in `ticked`
   ShardList route_ns;  // routing fan-out of the report being dispatched
-  // Router k-NN refresh: one answer slot per k-NN query and whether the
-  // query was dirty, both indexed by slot and written only by the worker
-  // that claims it.
-  KnnEvaluator::AnswerSlots knn_slots;
-  std::vector<char> knn_searched;
-  std::vector<ObjectId> knn_fresh;
 };
 
 ShardedEngine::~ShardedEngine() = default;
@@ -300,9 +274,8 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
     shards_[s] = MakeShard(static_cast<int>(s));
   }
 
-  // Re-route every object and every non-k-NN query (k-NN state is
-  // router-owned and untouched by partitioning) into one sub-batch per
-  // rebuilt shard, ascending id as in a tick's route phase.
+  // Re-route every object and every query into one sub-batch per rebuilt
+  // shard, ascending id as in a tick's route phase.
   std::vector<ReportBatch> primes(shards_.size());
   std::vector<ObjectId> oids;
   oids.reserve(objects_.size());
@@ -323,7 +296,6 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   std::sort(qids.begin(), qids.end());
   for (QueryId qid : qids) {
     RoutedQuery& rq = *queries_.FindPtr(qid);
-    if (rq.kind == QueryKind::kKnn) continue;
     RouteShardsOf(rq, &rq.shards);
     for (int s : rq.shards) {
       primes[s].query_changes.push_back(ShardRegistration(qid, rq, s));
@@ -349,7 +321,6 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   std::vector<ObjectId> answer_ids;
   for (QueryId qid : qids) {
     const RoutedQuery& rq = *queries_.FindPtr(qid);
-    if (rq.kind == QueryKind::kKnn) continue;
     FlatMap<ObjectId, int>& counts = new_members[qid];
     for (int s : rq.shards) {
       answer_ids.clear();
@@ -407,34 +378,27 @@ ShardedEngine::FindCommittedQuery(QueryId id) const {
 void ShardedEngine::RouteShardsOf(const RoutedQuery& rq,
                                   ShardList* out) const {
   out->clear();
-  switch (rq.kind) {
-    case QueryKind::kRange:
-    case QueryKind::kPredictiveRange:
-      map_.ShardsOverlapping(rq.region, out);
-      break;
-    case QueryKind::kCircleRange: {
-      // Seam-band tightening: the bounding box overlaps corner shards
-      // the disk itself never reaches. CircleEvaluator only matches a
-      // point inside both the closed disk and the shard bounds, so a
-      // shard whose rect lies farther than the radius can never emit for
-      // this query. SquaredDistanceTo under-approximates the distance to
-      // every in-shard point monotonically under FP rounding, so the
-      // filter is exact at the boundary (same closed <= as the disk).
-      map_.ShardsOverlapping(rq.circle.BoundingBox().Intersection(map_.universe()),
-                             out);
-      const double r2 = rq.circle.radius * rq.circle.radius;
-      size_t w = 0;
-      for (int s : *out) {
-        if (map_.shard_rect(s).SquaredDistanceTo(rq.circle.center) <= r2) {
-          (*out)[w++] = s;
-        }
-      }
-      out->resize(w);
-      break;
-    }
-    case QueryKind::kKnn:
-      break;  // router-owned
+  if (rq.kind != QueryKind::kCircleRange) {
+    map_.ShardsOverlapping(rq.region, out);
+    return;
   }
+  // Seam-band tightening: the bounding box overlaps corner shards the
+  // disk itself never reaches. CircleEvaluator only matches a point
+  // inside both the closed disk and the shard bounds, so a shard whose
+  // rect lies farther than the radius can never emit for this query.
+  // SquaredDistanceTo under-approximates the distance to every in-shard
+  // point monotonically under FP rounding, so the filter is exact at the
+  // boundary (same closed <= as the disk).
+  map_.ShardsOverlapping(rq.circle.BoundingBox().Intersection(map_.universe()),
+                         out);
+  const double r2 = rq.circle.radius * rq.circle.radius;
+  size_t w = 0;
+  for (int s : *out) {
+    if (map_.shard_rect(s).SquaredDistanceTo(rq.circle.center) <= r2) {
+      (*out)[w++] = s;
+    }
+  }
+  out->resize(w);
 }
 
 void ShardedEngine::RouteShardsOfObject(const PendingObjectUpsert& u,
@@ -491,12 +455,8 @@ void ShardedEngine::TickBatch(const ReportBatch& batch, Timestamp now,
     PhaseTimer timer(&stats->shard_tick_wall_seconds);
     TickShards(now, stats);
   }
-  {
-    PhaseTimer timer(&stats->shard_merge_seconds);
-    Merge(batch, out);
-  }
-  PhaseTimer timer(&stats->shard_knn_seconds);
-  RefreshKnn(out, stats);
+  PhaseTimer timer(&stats->shard_merge_seconds);
+  Merge(batch, out);
 }
 
 // --- Route -------------------------------------------------------------------
@@ -512,7 +472,6 @@ void ShardedEngine::Route(const ReportBatch& batch, TickStats* stats) {
   }
   scratch.resets.clear();
   scratch.reset_members.clear();
-  scratch.knn_points.clear();
 
   RouteObjects(batch, stats);
   for (const PendingQueryChange& c : batch.query_changes) {
@@ -533,7 +492,6 @@ void ShardedEngine::RouteObjects(const ReportBatch& batch, TickStats* stats) {
         << "buffered removal of unknown object " << id;
     const RoutedObject& ro = it->second;
     for (int s : ro.shards) scratch.batches[s].removals.push_back(id);
-    scratch.knn_points.push_back(ro.loc);
     objects_.erase(it);
     ++stats->object_removals_applied;
   }
@@ -542,11 +500,9 @@ void ShardedEngine::RouteObjects(const ReportBatch& batch, TickStats* stats) {
     ShardList& ns = scratch.route_ns;
     RouteShardsOfObject(u, &ns);
     for (int s : ns) scratch.batches[s].upserts.push_back(u);
-    scratch.knn_points.push_back(u.loc);
     auto [it, inserted] = objects_.try_emplace(u.id);
     RoutedObject& ro = it->second;
     if (!inserted) {
-      scratch.knn_points.push_back(ro.loc);
       // Departed shards: the object hands off; the shard ships its own
       // phase-1 negatives for every answer it participated in there.
       for (int s : ro.shards) {
@@ -590,11 +546,6 @@ void ShardedEngine::RouteQueryChange(const PendingQueryChange& c,
         rq.circle = Circle{c.center, c.radius};
         break;
       case QueryChangeKind::kRegisterKnn:
-        rq.kind = QueryKind::kKnn;
-        rq.circle = Circle{c.center, 0.0};
-        rq.k = c.k;
-        knn_dirty_.insert(c.id);
-        break;
       case QueryChangeKind::kMove:
       case QueryChangeKind::kUnregister:
         STQ_CHECK(false) << "unreachable";
@@ -611,11 +562,6 @@ void ShardedEngine::RouteQueryChange(const PendingQueryChange& c,
   STQ_CHECK(it != queries_.end()) << "buffered move of unknown query";
   RoutedQuery& rq = it->second;
   ++stats->query_changes_applied;
-  if (rq.kind == QueryKind::kKnn) {
-    rq.circle.center = c.center;
-    knn_dirty_.insert(c.id);
-    return;
-  }
   if (rq.kind == QueryKind::kCircleRange) {
     rq.circle.center = c.center;
   } else {
@@ -661,10 +607,7 @@ void ShardedEngine::DropRoutedQuery(QueryId qid, TickStats* stats) {
   Reset r;
   r.qid = qid;
   r.begin = members.size();
-  if (rq.kind == QueryKind::kKnn) {
-    // Already sorted by id.
-    members.insert(members.end(), rq.knn_answer.begin(), rq.knn_answer.end());
-  } else if (auto mit = members_.find(qid); mit != members_.end()) {
+  if (auto mit = members_.find(qid); mit != members_.end()) {
     for (const auto& [oid, cnt] : mit->second) members.push_back(oid);
     std::sort(members.begin() + static_cast<ptrdiff_t>(r.begin),
               members.end());
@@ -678,7 +621,6 @@ void ShardedEngine::DropRoutedQuery(QueryId qid, TickStats* stats) {
     PushQueryChange(s, u);
   }
   members_.erase(qid);
-  knn_dirty_.erase(qid);
   queries_.erase(it);
   ++stats->queries_unregistered;
 }
@@ -702,26 +644,17 @@ PendingQueryChange ShardedEngine::ShardRegistration(QueryId qid,
                                                     int s) const {
   PendingQueryChange c;
   c.id = qid;
-  switch (rq.kind) {
-    case QueryKind::kRange:
-      c.kind = QueryChangeKind::kRegisterRange;
-      c.region = rq.region.Intersection(map_.shard_rect(s));
-      break;
-    case QueryKind::kPredictiveRange:
-      c.kind = QueryChangeKind::kRegisterPredictive;
-      c.region = rq.region.Intersection(map_.shard_rect(s));
-      c.t_from = rq.t_from;
-      c.t_to = rq.t_to;
-      break;
-    case QueryKind::kCircleRange:
-      c.kind = QueryChangeKind::kRegisterCircle;
-      c.center = rq.circle.center;
-      c.radius = rq.circle.radius;
-      break;
-    case QueryKind::kKnn:
-      STQ_CHECK(false) << "unreachable: k-NN queries route to no shard";
-      break;
+  if (rq.kind == QueryKind::kCircleRange) {
+    c.kind = QueryChangeKind::kRegisterCircle;
+    c.center = rq.circle.center;
+    c.radius = rq.circle.radius;
+    return c;
   }
+  c.kind = rq.kind == QueryKind::kRange ? QueryChangeKind::kRegisterRange
+                                        : QueryChangeKind::kRegisterPredictive;
+  c.region = rq.region.Intersection(map_.shard_rect(s));
+  c.t_from = rq.t_from;
+  c.t_to = rq.t_to;
   return c;
 }
 
@@ -789,7 +722,7 @@ void ShardedEngine::TickShards(Timestamp now, TickStats* stats) {
     }
     BuildLeafStream(&leaf);
   };
-  if (pool_ != nullptr && ticked.size() > 1) {
+  if (pool_ != nullptr) {
     pool_->RunDynamic(ticked.size(), run_one);
   } else {
     for (size_t i = 0; i < ticked.size(); ++i) run_one(i);
@@ -807,8 +740,6 @@ void ShardedEngine::TickShards(Timestamp now, TickStats* stats) {
     stats->query_pass_seconds += ss.query_pass_seconds;
     stats->object_match_seconds += ss.object_match_seconds;
     stats->object_apply_seconds += ss.object_apply_seconds;
-    stats->knn_search_seconds += ss.knn_search_seconds;
-    stats->knn_apply_seconds += ss.knn_apply_seconds;
     stats->cells_split += ss.cells_split;
     stats->cells_merged += ss.cells_merged;
     stats->adapt_seconds += ss.adapt_seconds;
@@ -838,7 +769,7 @@ void ShardedEngine::Merge(const ReportBatch& batch, std::vector<Update>* out) {
     auto merge_pair = [&](size_t j) {
       MergeStreams(*cur[2 * j], *cur[2 * j + 1], &bufs[buf_idx + j]);
     };
-    if (pool_ != nullptr && pairs > 1) {
+    if (pool_ != nullptr) {
       pool_->RunDynamic(pairs, merge_pair);
     } else {
       for (size_t j = 0; j < pairs; ++j) merge_pair(j);
@@ -920,78 +851,6 @@ void ShardedEngine::Merge(const ReportBatch& batch, std::vector<Update>* out) {
   }
 }
 
-// --- Router k-NN -------------------------------------------------------------
-
-void ShardedEngine::RefreshKnn(std::vector<Update>* out, TickStats* stats) {
-  TickScratch& scratch = *scratch_;
-  KnnEvaluator::AnswerSlots& slots = scratch.knn_slots;
-  slots.Clear();
-  for (const auto& [qid, rq] : queries_) {
-    if (rq.kind == QueryKind::kKnn) slots.Add(qid, rq.k, objects_.size());
-  }
-  slots.Allocate();
-  std::vector<char>& searched = scratch.knn_searched;
-  searched.assign(slots.size(), 0);
-
-  // Parallel half: per query, the dirty test, then, if dirty, the search
-  // into the query's own slot. A query is dirty when its focal point
-  // moved or it is new (knn_dirty_), or when a location this tick's
-  // reports touched lies within its k-th distance (<= mirrors the
-  // single-grid candidate probe: an exact tie dirties too, and an
-  // unfilled answer's infinite threshold is reached by every report).
-  // Workers only read the quiescent shards, queries_, knn_dirty_ and
-  // knn_points, and each writes only its own slot.
-  const FlatMap<QueryId, RoutedQuery>& queries = queries_;
-  auto refresh_one = [&](size_t i) {
-    const QueryId qid = slots.qid(i);
-    const RoutedQuery& rq = *queries.FindPtr(qid);
-    if (!knn_dirty_.contains(qid) &&
-        !AnyWithin(scratch.knn_points, rq.circle.center, rq.knn_dist2)) {
-      return;
-    }
-    searched[i] = 1;
-    SearchKnn(rq.circle.center, slots.best(i));
-  };
-  if (pool_ != nullptr) {
-    pool_->RunDynamic(slots.size(), refresh_one);
-  } else {
-    for (size_t i = 0; i < slots.size(); ++i) refresh_one(i);
-  }
-  knn_dirty_.clear();
-
-  // Serial half, in ascending qid: diff each fresh answer against the
-  // committed one (both sorted by id) and commit it.
-  std::vector<ObjectId>& fresh = scratch.knn_fresh;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (!searched[i]) continue;
-    const QueryId qid = slots.qid(i);
-    RoutedQuery& rq = *queries_.FindPtr(qid);
-    const std::span<const KnnEvaluator::Neighbor> neighbors = slots.answer(i);
-    fresh.clear();
-    for (const KnnEvaluator::Neighbor& n : neighbors) fresh.push_back(n.id);
-    std::sort(fresh.begin(), fresh.end());
-    size_t a = 0, b = 0;
-    while (a < rq.knn_answer.size() || b < fresh.size()) {
-      if (b == fresh.size() ||
-          (a < rq.knn_answer.size() && rq.knn_answer[a] < fresh[b])) {
-        out->push_back(Update::Negative(qid, rq.knn_answer[a]));
-        ++a;
-      } else if (a == rq.knn_answer.size() || fresh[b] < rq.knn_answer[a]) {
-        out->push_back(Update::Positive(qid, fresh[b]));
-        ++b;
-      } else {
-        ++a;
-        ++b;
-      }
-    }
-    rq.knn_answer.assign(fresh.begin(), fresh.end());
-    rq.knn_dist2 = neighbors.size() == static_cast<size_t>(rq.k)
-                       ? neighbors.back().dist2
-                       : kInf;
-    ++stats->knn_reevaluations;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Introspection
 // ---------------------------------------------------------------------------
@@ -1017,7 +876,6 @@ std::vector<int> ShardedEngine::QueryShards(QueryId id) const {
 std::vector<ObjectId> ShardedEngine::CurrentAnswer(QueryId id) const {
   auto it = queries_.find(id);
   STQ_CHECK(it != queries_.end()) << "answer of unknown query " << id;
-  if (it->second.kind == QueryKind::kKnn) return it->second.knn_answer;
   std::vector<ObjectId> answer;
   if (auto mit = members_.find(id); mit != members_.end()) {
     answer.reserve(mit->second.size());
@@ -1031,10 +889,6 @@ bool ShardedEngine::GetAnswerSet(QueryId id, AnswerSet* out) const {
   out->clear();
   auto it = queries_.find(id);
   if (it == queries_.end()) return false;
-  if (it->second.kind == QueryKind::kKnn) {
-    out->insert(it->second.knn_answer.begin(), it->second.knn_answer.end());
-    return true;
-  }
   if (auto mit = members_.find(id); mit != members_.end()) {
     for (const auto& [oid, cnt] : mit->second) out->insert(oid);
   }
@@ -1064,12 +918,9 @@ void ShardedEngine::ForEachQueryInfo(
     info.kind = rq.kind;
     info.region = rq.region;
     info.circle = rq.circle;
-    info.k = rq.k;
     info.t_from = rq.t_from;
     info.t_to = rq.t_to;
-    if (rq.kind == QueryKind::kKnn) {
-      info.answer_size = rq.knn_answer.size();
-    } else if (auto mit = members_.find(qid); mit != members_.end()) {
+    if (auto mit = members_.find(qid); mit != members_.end()) {
       info.answer_size = mit->second.size();
     }
     fn(info);
@@ -1079,25 +930,14 @@ void ShardedEngine::ForEachQueryInfo(
 std::vector<ObjectId> ShardedEngine::EvaluateFromScratch(QueryId id) const {
   auto it = queries_.find(id);
   STQ_CHECK(it != queries_.end()) << "recomputing unknown query " << id;
-  const RoutedQuery& rq = it->second;
-  std::vector<ObjectId> answer;
-  if (rq.kind == QueryKind::kKnn) {
-    // Brute force over the router's records: independent of the grid
-    // search the incremental refresh runs.
-    answer = KnnEvaluator::NearestByBruteForce(
-        rq.circle.center, rq.k, [&](auto&& visit) {
-          for (const auto& [oid, ro] : objects_) visit(oid, ro.loc);
-        });
-  } else {
-    FlatSet<ObjectId> seen;
-    for (int s : rq.shards) {
-      Result<std::vector<ObjectId>> part = shards_[s]->EvaluateFromScratch(id);
-      STQ_CHECK(part.ok()) << "shard " << s << " lost query " << id << ": "
-                           << part.status().ToString();
-      seen.insert(part->begin(), part->end());
-    }
-    answer.assign(seen.begin(), seen.end());
+  FlatSet<ObjectId> seen;
+  for (int s : it->second.shards) {
+    Result<std::vector<ObjectId>> part = shards_[s]->EvaluateFromScratch(id);
+    STQ_CHECK(part.ok()) << "shard " << s << " lost query " << id << ": "
+                         << part.status().ToString();
+    seen.insert(part->begin(), part->end());
   }
+  std::vector<ObjectId> answer(seen.begin(), seen.end());
   std::sort(answer.begin(), answer.end());
   return answer;
 }
@@ -1226,30 +1066,6 @@ void ShardedEngine::AuditCrossShard(
   for (QueryId qid : qids) {
     if (full()) return;
     const RoutedQuery& rq = *queries_.FindPtr(qid);
-    if (rq.kind == QueryKind::kKnn) {
-      if (!rq.shards.empty()) {
-        std::ostringstream os;
-        os << "k-NN query " << qid << " routed to shards; it is router-owned";
-        add(os.str());
-      }
-      KnnEvaluator::AnswerSlots one;
-      one.Add(qid, rq.k, objects_.size());
-      one.Allocate();
-      SearchKnn(rq.circle.center, one.best(0));
-      std::vector<ObjectId> fresh;
-      for (const KnnEvaluator::Neighbor& nb : one.answer(0)) {
-        fresh.push_back(nb.id);
-      }
-      std::sort(fresh.begin(), fresh.end());
-      if (fresh != rq.knn_answer) {
-        std::ostringstream os;
-        os << "k-NN query " << qid << " committed answer ("
-           << rq.knn_answer.size() << " ids) != cross-shard search ("
-           << fresh.size() << " ids)";
-        add(os.str());
-      }
-      continue;
-    }
     ShardList expected;
     RouteShardsOf(rq, &expected);
     if (!(expected == rq.shards)) {

@@ -6,8 +6,8 @@
 // independently; shards with pending work tick in parallel on the
 // engine's ThreadPool. QueryProcessor stays the one ingestion front: it
 // validates, clamps and buffers every report once, and each tick hands
-// the drained, id-ordered batch to ShardedEngine::TickBatch, which runs
-// five named phases:
+// the drained, id-ordered batch (its k-NN changes already taken out) to
+// ShardedEngine::TickBatch, which runs four named phases:
 //
 //   rebalance  (adaptive mode) move the shard boundaries when the home
 //              load is skewed, handing every routed entity to its new
@@ -37,22 +37,18 @@
 //              emits a global update only when the count transitions
 //              0 <-> positive, so an object handed from one shard to
 //              another (a cancelling -/+ pair) or matched by several
-//              replicas yields no spurious updates;
-//   router k-NN re-evaluate the dirty k-NN queries (below).
+//              replicas yields no spurious updates.
 //
-// The front then seals the tick (canonical order), byte-identical to the
-// single-grid stream — the property the sharded differential tests pin
-// down.
+// The front then refreshes its k-NN queries on this engine's pool and
+// seals the tick (canonical order), byte-identical to the single-grid
+// stream — the property the sharded differential tests pin down.
 //
-// k-NN queries are evaluated at the router, in one parallel pass over
-// them: each worker tests a query for dirtiness and, if dirty, searches
-// it into the query's own slot of a shared result buffer; the answers are
-// then diffed and committed serially in qid order. A search passes one
+// The engine holds no k-NN state; it only searches. SearchKnn passes one
 // running k-best list through the home shard (the one containing the
 // focal point), then through every other shard whose rect lies within
 // the current k-th distance (the paper's k-NN-as-circle-range trick,
 // across shards), each pruning against the distance the list holds so
-// far. Per-shard engines therefore hold no k-NN state.
+// far.
 //
 // See DESIGN.md, "Sharded execution", for the determinism argument.
 //
@@ -80,7 +76,6 @@
 #define STQ_CORE_SHARDED_SERVER_H_
 
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,7 +117,7 @@ class ShardedEngine {
   QueryProcessor& shard_for_testing(int s) { return *shards_[s]; }
 
   // The shards an entity is currently routed to (ascending). Empty when
-  // the id is unknown; a k-NN query routes to no shard (router-owned).
+  // the id is unknown.
   std::vector<int> ObjectShards(ObjectId id) const;
   std::vector<int> QueryShards(QueryId id) const;
 
@@ -162,14 +157,13 @@ class ShardedEngine {
   // Cross-shard invariants, appended to `violations` (up to
   // `max_violations` total). Used by InvariantAuditor on top of the
   // per-shard audits:
-  //   * every non-k-NN query's answer (OList) union over its shards
-  //     equals the router's committed answer, with per-shard multiplicity
-  //     exactly matching the router's reference counts;
+  //   * every query's answer (OList) union over its shards equals the
+  //     router's committed answer, with per-shard multiplicity exactly
+  //     matching the router's reference counts;
   //   * no object is double-counted: each object is present in exactly
   //     the shards the routing rule assigns it (one home shard for
   //     sampled objects), with matching stored state;
-  //   * every shard-registered query is routed there and vice versa;
-  //   * every k-NN answer equals its from-scratch cross-shard search.
+  //   * every shard-registered query is routed there and vice versa.
   void AuditCrossShard(size_t max_violations,
                        std::vector<std::string>* violations) const;
 
@@ -191,15 +185,10 @@ class ShardedEngine {
   struct RoutedQuery {
     QueryKind kind = QueryKind::kRange;
     Rect region;    // kRange / kPredictiveRange
-    Circle circle;  // kKnn (center; radius unused) / kCircleRange
-    int k = 0;
+    Circle circle;  // kCircleRange
     double t_from = 0.0;
     double t_to = 0.0;
-    ShardList shards;  // ascending; empty for kKnn
-    // kKnn only: the committed answer and the exact squared distance to
-    // the k-th neighbour (+inf while fewer than k objects exist).
-    std::vector<ObjectId> knn_answer;
-    double knn_dist2 = std::numeric_limits<double>::infinity();
+    ShardList shards;  // ascending
   };
 
   // The front's two lookups, answered from the routed records (see
@@ -223,7 +212,7 @@ class ShardedEngine {
   // shard engines are quiescent. (rebalance_seconds)
   void MaybeRebalance(Timestamp now, TickStats* stats);
   // Updates the routed records and fills the per-shard sub-batches,
-  // captures, query resets and k-NN events. (shard_route_seconds)
+  // captures and query resets. (shard_route_seconds)
   void Route(const ReportBatch& batch, TickStats* stats);
   // Each touched shard reads its captures, applies its sub-batch and
   // builds its leaf merge stream, in parallel. (shard_tick_*)
@@ -231,12 +220,9 @@ class ShardedEngine {
   // Reduction tree over the leaf streams, then the serial refcount apply
   // and the reset negatives. (shard_merge_seconds)
   void Merge(const ReportBatch& batch, std::vector<Update>* out);
-  // Re-evaluates the k-NN queries dirtied by a focal move or by this
-  // tick's object reports: the dirty tests and searches in parallel, the
-  // diffs serially in qid order. (shard_knn_seconds)
-  void RefreshKnn(std::vector<Update>* out, TickStats* stats);
-  // Offers `best` every object that can beat its bound: the home shard
-  // of `center` first, then each other shard whose rect lies within the
+  // The engine's k-NN search, which the front's refresh calls: offers
+  // `best` every object that can beat its bound, from the home shard of
+  // `center` first, then each other shard whose rect lies within the
   // current k-th distance. Reads only quiescent shard state; allocates
   // nothing.
   void SearchKnn(const Point& center, KnnEvaluator::KBest* best) const;
@@ -272,14 +258,10 @@ class ShardedEngine {
   std::vector<std::unique_ptr<QueryProcessor>> shards_;
   FlatMap<ObjectId, RoutedObject> objects_;
   FlatMap<QueryId, RoutedQuery> queries_;
-  // Per-(query, object) shard-membership reference counts for non-k-NN
-  // queries: how many shards currently report the pair. The committed
-  // global answer is exactly the keys with positive count.
+  // Per-(query, object) shard-membership reference counts: how many
+  // shards currently report the pair. The committed global answer is
+  // exactly the keys with positive count.
   FlatMap<QueryId, FlatMap<ObjectId, int>> members_;
-  // k-NN queries needing re-evaluation at the next tick (focal point
-  // moved or freshly registered; object-driven dirtiness is derived from
-  // the tick's report batch).
-  FlatSet<QueryId> knn_dirty_;
   // The previous tick's time: a rebalance primes the rebuilt shards at
   // it, reproducing their answers as of the last committed tick.
   Timestamp last_tick_time_ = 0.0;
@@ -296,8 +278,8 @@ class ShardedEngine {
   // Tick-scoped scratch reused across ticks; every container is cleared
   // before use, so no state carries over — only capacity does (see
   // DESIGN.md, "Memory layout & allocation discipline"). The
-  // MergeEntry/Reset/KnnEvent element types are private to the .cc, so
-  // the buffers they need are declared there via this opaque holder.
+  // MergeEntry/Reset element types are private to the .cc, so the
+  // buffers they need are declared there via this opaque holder.
   struct TickScratch;
   std::unique_ptr<TickScratch> scratch_;
 };

@@ -3,6 +3,7 @@
 // grid ring search, and their edge cases.
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,32 +226,51 @@ TEST(KnnEvaluatorTest, RandomizedSearchMatchesBruteForce) {
   }
 }
 
-TEST(KnnEvaluatorTest, DirtySetReevaluationAndFootprint) {
+TEST(KnnMonitorTest, RegistrationRefreshAndAnswerCircle) {
   Harness h;
   for (ObjectId id = 1; id <= 5; ++id) {
     h.AddObject(id, Point{0.1 * static_cast<double>(id), 0.5});
   }
-  QueryRecord rec;
-  rec.id = 1;
-  rec.kind = QueryKind::kKnn;
-  rec.circle = Circle{Point{0.1, 0.5}, 0.0};
-  rec.k = 2;
-  QueryRecord* q = h.queries.Insert(std::move(rec));
+  const KnnEvaluator knn(h.state());
+  auto search = [&](const Point& center, KnnEvaluator::KBest* best) {
+    knn.Search(center, best);
+  };
+  auto engine_has = [](QueryId) { return false; };
 
-  KnnEvaluator knn(h.state());
-  knn.MarkDirty(1);
+  KnnMonitor monitor;
+  ReportBatch batch;
+  PendingQueryChange reg;
+  reg.kind = QueryChangeKind::kRegisterKnn;
+  reg.id = 1;
+  reg.center = Point{0.1, 0.5};
+  reg.k = 2;
+  batch.query_changes.push_back(reg);
   std::vector<Update> out;
-  EXPECT_EQ(knn.ReevaluateDirty(&out), 1u);
+  TickStats stats;
+  monitor.TakeChanges(&batch, engine_has, &out, &stats);
+  EXPECT_TRUE(batch.query_changes.empty());  // the monitor's, not the grid's
+  monitor.Refresh(batch, h.objects.size(), nullptr, search, &out, &stats);
   CanonicalizeUpdates(&out);
   EXPECT_EQ(out.size(), 2u);
-  EXPECT_EQ(q->SortedAnswer(), (std::vector<ObjectId>{1, 2}));
-  EXPECT_NEAR(q->circle.radius, 0.1, 1e-9);
-  EXPECT_FALSE(q->grid_footprint.IsEmpty());
+  EXPECT_EQ(stats.knn_reevaluations, 1u);
+  const KnnMonitor::Query* q = monitor.Find(1);
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->answer, (std::vector<ObjectId>{1, 2}));
+  EXPECT_NEAR(std::sqrt(q->dist2), 0.1, 1e-9);
 
-  // Marking a non-existent or non-knn query is harmless.
-  knn.MarkDirty(99);
+  // A move of a query the monitor does not hold stays in the batch, and
+  // a tick that disturbs no k-NN query re-evaluates none.
+  batch.clear();
+  PendingQueryChange move;
+  move.kind = QueryChangeKind::kMove;
+  move.id = 99;
+  batch.query_changes.push_back(move);
   out.clear();
-  EXPECT_EQ(knn.ReevaluateDirty(&out), 0u);
+  stats = TickStats{};
+  monitor.TakeChanges(&batch, engine_has, &out, &stats);
+  EXPECT_EQ(batch.query_changes.size(), 1u);
+  monitor.Refresh(batch, h.objects.size(), nullptr, search, &out, &stats);
+  EXPECT_EQ(stats.knn_reevaluations, 0u);
   EXPECT_TRUE(out.empty());
 }
 

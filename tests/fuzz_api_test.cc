@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "stq/common/random.h"
+#include "stq/core/invariant_auditor.h"
 #include "stq/core/query_processor.h"
 #include "stq/core/server.h"
 
@@ -180,7 +181,7 @@ TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
     const ObjectId oid = 1 + rng.NextUint64(20);
     const Point p =
         HostilePoint(&rng, Point{rng.NextDouble(), rng.NextDouble()});
-    switch (rng.NextUint64(10)) {
+    switch (rng.NextUint64(12)) {
       case 0:
         (void)server.AttachClient(cid);
         break;
@@ -210,7 +211,13 @@ TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
       case 8:
         (void)server.RegisterCircleQuery(qid, cid, p, Hostile(&rng, 0.1));
         break;
-      case 9: {
+      case 9:
+        (void)server.RegisterKnnQuery(qid, cid, p, rng.NextInt(1, 4));
+        break;
+      case 10:
+        (void)server.MoveKnnQuery(qid, p);
+        break;
+      case 11: {
         now += rng.NextDouble(0.1, 2.0);
         server.Tick(now);
         break;
@@ -219,7 +226,10 @@ TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
   }
   now += 1.0;
   server.Tick(now);
-  EXPECT_TRUE(server.processor().CheckInvariants().ok());
+  // The processor audit plus the server's own: no commit outlives its
+  // query, across k-NN commits, disconnects and re-registrations.
+  const AuditReport report = InvariantAuditor().AuditServer(server);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -162,7 +162,7 @@ TEST(InvariantAuditorTest, DetectsAnswerDivergenceFromScratch) {
   ObjectRecord* o = qp.object_store_for_testing().FindMutable(3);
   ASSERT_NE(o, nullptr);
   const Point old_loc = o->loc;
-  o->loc = Point{0.31, 0.31};  // now inside range query 10's region
+  o->loc = Point{0.45, 0.45};  // now inside range query 10's region only
   qp.grid_for_testing().MoveObject(3, old_loc, o->loc);
 
   const AuditReport report = InvariantAuditor().AuditProcessor(qp);

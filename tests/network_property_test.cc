@@ -5,6 +5,7 @@
 // boundary-crossing code paths (rect differences, circle rims, k-NN ring
 // growth) much more densely than uniform teleports do.
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -112,11 +113,15 @@ TEST_P(NetworkMotionProperty, AllKindsConsistentUnderRoadMotion) {
         ASSERT_TRUE(qp.UpsertObject(r.id, r.loc, r.t).ok());
       }
     }
+    std::map<QueryId, QueryKind> kinds;
+    qp.ForEachQueryInfo([&](const QueryProcessor::QueryInfo& info) {
+      kinds[info.id] = info.kind;
+    });
     for (const ObjectReport& r : focals.Step(now, 5.0, 0.7)) {
       const QueryId qid = r.id;
-      const QueryRecord* q = qp.query_store().Find(qid);
-      ASSERT_NE(q, nullptr);
-      switch (q->kind) {
+      const auto kind = kinds.find(qid);
+      ASSERT_NE(kind, kinds.end());
+      switch (kind->second) {
         case QueryKind::kRange:
           ASSERT_TRUE(
               qp.MoveRangeQuery(qid, Rect::CenteredSquare(r.loc, 0.15)).ok());

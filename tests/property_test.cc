@@ -8,6 +8,7 @@
 // rates, and seeds.
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -452,11 +453,15 @@ TEST(MixedProperty, AllKindsStayConsistentOverTime) {
         ASSERT_TRUE(qp.UpsertObject(id, RandomPoint(&rng), now).ok());
       }
     }
+    std::map<QueryId, QueryKind> kinds;
+    qp.ForEachQueryInfo([&](const QueryProcessor::QueryInfo& info) {
+      kinds[info.id] = info.kind;
+    });
     for (QueryId qid : queries) {
       if (!rng.NextBool(0.3)) continue;
-      const QueryRecord* q = qp.query_store().Find(qid);
-      ASSERT_NE(q, nullptr);
-      switch (q->kind) {
+      const auto kind = kinds.find(qid);
+      ASSERT_NE(kind, kinds.end());
+      switch (kind->second) {
         case QueryKind::kRange:
           ASSERT_TRUE(qp.MoveRangeQuery(
                             qid, Rect::CenteredSquare(RandomPoint(&rng), 0.2))

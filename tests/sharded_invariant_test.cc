@@ -180,7 +180,7 @@ TEST(ShardedInvariantTest, DetectsKnnAnswerDivergence) {
   // Teleport object 2 (far from the focal point) right next to it,
   // staying inside its own shard's rect and keeping the shard
   // structurally sound: a fresh cross-shard search now ranks object 2
-  // into the top-2, so the router's committed k-NN answer disagrees.
+  // into the top-2, so the front's committed k-NN answer disagrees.
   const std::vector<int> shards = engine->ObjectShards(2);
   ASSERT_EQ(shards.size(), 1u);
   QueryProcessor& shard = engine->shard_for_testing(shards[0]);
@@ -197,7 +197,7 @@ TEST(ShardedInvariantTest, DetectsKnnAnswerDivergence) {
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("k-NN query 11"), std::string::npos)
       << report.ToString();
-  EXPECT_NE(report.ToString().find("cross-shard search"), std::string::npos)
+  EXPECT_NE(report.ToString().find("fresh search"), std::string::npos)
       << report.ToString();
 }
 
