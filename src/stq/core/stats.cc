@@ -32,6 +32,7 @@ EngineStats ComputeEngineStats(const QueryProcessor& processor) {
     if (o.predictive) ++stats.num_predictive_objects;
     stats.total_qlist_entries += o.qlist_size;
   });
+  size_t knn_answer_entries = 0;
   processor.ForEachQueryInfo([&](const QueryProcessor::QueryInfo& q) {
     ++stats.num_queries;
     switch (q.kind) {
@@ -40,6 +41,7 @@ EngineStats ComputeEngineStats(const QueryProcessor& processor) {
         break;
       case QueryKind::kKnn:
         ++stats.num_knn_queries;
+        knn_answer_entries += q.answer_size;
         break;
       case QueryKind::kPredictiveRange:
         ++stats.num_predictive_queries;
@@ -63,9 +65,10 @@ EngineStats ComputeEngineStats(const QueryProcessor& processor) {
             static_cast<size_t>(processor.grid().cells_y());
   } else {
     // Sum the per-shard grids; in sharded mode the QLists live inside
-    // the shard stores, so mirror them with the committed answer count.
+    // the shard stores, so mirror them with the committed answer count
+    // (k-NN answers live at the front, in no QList).
     const ShardedEngine& engine = *processor.sharded_engine();
-    stats.total_qlist_entries = stats.total_answer_entries;
+    stats.total_qlist_entries = stats.total_answer_entries - knn_answer_entries;
     for (int s = 0; s < engine.num_shards(); ++s) {
       const GridStats gs = engine.shard(s).grid().ComputeStats();
       stats.grid.num_object_entries += gs.num_object_entries;

@@ -80,7 +80,9 @@ struct TickStats {
 
   // Wall-clock seconds spent in each tick phase (steady-clock). The
   // object pass is split into its parallel matching half and its serial
-  // delta-replay half so the ablation bench can attribute speedup.
+  // delta-replay half so the ablation bench can attribute speedup; the
+  // k-NN refresh likewise into its parallel search half and its serial
+  // diff half.
   double removals_seconds = 0.0;
   double upserts_seconds = 0.0;
   double query_changes_seconds = 0.0;
@@ -97,15 +99,17 @@ struct TickStats {
   // Execution breakdown, populated in every mode so the single-grid
   // baseline row is directly comparable to sharded rows (a single grid
   // reports one "shard" whose busy time equals its wall time). With
-  // num_shards > 1 the eight per-phase fields above hold the *sums* over
-  // all shard ticks; the fields below attribute the tick's own wall time.
+  // num_shards > 1 the six object and query phase fields above hold the
+  // *sums* over all shard ticks (the two k-NN fields time the front's
+  // refresh in both modes); the fields below attribute the tick's own
+  // wall time.
   size_t shards_ticked = 0;        // shards with pending work this tick
   double shard_route_seconds = 0.0;   // serial routing decisions (drain+sort)
   double shard_tick_wall_seconds = 0.0;  // fork/join of per-shard ticks
   double shard_tick_busy_seconds = 0.0;  // sum of per-shard tick walls
   double shard_tick_max_seconds = 0.0;   // slowest shard (critical path)
   double shard_merge_seconds = 0.0;   // refcount merge + canonicalization
-  double shard_knn_seconds = 0.0;     // router k-NN refresh
+  double shard_knn_seconds = 0.0;     // the whole k-NN refresh
 
   // The parallelizable share of this tick (match + k-NN search time).
   double ParallelSeconds() const {
