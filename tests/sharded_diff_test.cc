@@ -365,6 +365,63 @@ TEST(ShardedDiffTest, RemoveThenOlderReportInOneTick) {
   }
 }
 
+// Pins the merge's answer arithmetic on a script small enough to write
+// the streams out. Predictive objects 1 and 4 are replicated into every
+// shard their trajectories cross; objects 1 and 2 hop the x = 0.5 seam;
+// query 2 is dropped and re-registered in two ticks, the second one
+// removing a member of its old incarnation; query 3 moves out of the left
+// shards while a replicated member stays in its answer. Every engine must
+// ship exactly the single grid's stream.
+TEST(ShardedDiffTest, ReplicaAndResetStreamsArePinned) {
+  const Velocity v{0.01, 0.0};
+  const Rect q2_region{0.3, 0.3, 0.7, 0.7};
+  auto run = [&](int shards) {
+    QueryProcessor qp(ShardOptions(shards, /*workers=*/1));
+    std::vector<std::vector<std::string>> streams;
+    auto tick = [&](double now) {
+      std::vector<std::string> stream;
+      for (const Update& u : qp.EvaluateTick(now).updates) {
+        stream.push_back(u.DebugString());
+      }
+      EXPECT_TRUE(qp.CheckInvariants().ok()) << shards << " shards";
+      streams.push_back(std::move(stream));
+    };
+    EXPECT_TRUE(
+        qp.RegisterPredictiveQuery(1, Rect{0.3, 0.4, 0.7, 0.6}, 0.0, 50.0)
+            .ok());
+    EXPECT_TRUE(qp.RegisterRangeQuery(2, q2_region).ok());
+    EXPECT_TRUE(
+        qp.RegisterPredictiveQuery(3, Rect{0.3, 0.1, 0.7, 0.3}, 0.0, 50.0)
+            .ok());
+    EXPECT_TRUE(qp.UpsertPredictiveObject(1, Point{0.45, 0.45}, v, 0.0).ok());
+    EXPECT_TRUE(qp.UpsertObject(2, Point{0.45, 0.5}, 0.0).ok());
+    EXPECT_TRUE(qp.UpsertObject(3, Point{0.4, 0.4}, 0.0).ok());
+    EXPECT_TRUE(qp.UpsertPredictiveObject(4, Point{0.45, 0.2}, v, 0.0).ok());
+    tick(0.0);
+    EXPECT_TRUE(qp.UpsertPredictiveObject(1, Point{0.55, 0.45}, v, 5.0).ok());
+    EXPECT_TRUE(qp.UpsertObject(2, Point{0.55, 0.5}, 5.0).ok());
+    EXPECT_TRUE(qp.UnregisterQuery(2).ok());
+    EXPECT_TRUE(qp.RegisterRangeQuery(2, q2_region).ok());
+    EXPECT_TRUE(qp.MovePredictiveQuery(3, Rect{0.55, 0.1, 0.7, 0.3}).ok());
+    tick(5.0);
+    EXPECT_TRUE(qp.UpsertPredictiveObject(1, Point{0.75, 0.45}, v, 10.0).ok());
+    EXPECT_TRUE(qp.RemoveObject(3).ok());
+    EXPECT_TRUE(qp.UnregisterQuery(2).ok());
+    EXPECT_TRUE(qp.RegisterRangeQuery(2, q2_region).ok());
+    tick(10.0);
+    return streams;
+  };
+  const std::vector<std::vector<std::string>> expected = {
+      {"(Q1, +p1)", "(Q1, +p2)", "(Q1, +p3)", "(Q2, +p1)", "(Q2, +p2)",
+       "(Q2, +p3)", "(Q3, +p4)"},
+      {"(Q2, +p1)", "(Q2, +p2)", "(Q2, +p3)"},
+      {"(Q1, -p1)", "(Q1, -p3)", "(Q2, +p2)", "(Q2, -p3)"},
+  };
+  for (int shards : {1, 2, 4}) {
+    EXPECT_EQ(run(shards), expected) << shards << " shards";
+  }
+}
+
 // The sharded engine reports per-shard timing attribution in TickStats.
 TEST(ShardedDiffTest, ShardStatsAreAttributed) {
   QueryProcessor qp(ShardOptions(4, 2));
