@@ -39,7 +39,7 @@ struct RunResult {
   double seconds = 0.0;     // total EvaluateTick wall time
   double shard_busy = 0.0;  // summed per-shard tick wall time
   double shard_max = 0.0;   // summed slowest-shard (critical path) time
-  double merge = 0.0;       // refcount merge + canonicalization
+  double merge = 0.0;       // stream merge + canonicalization
   double route = 0.0;       // router dispatch (clip + dedup bookkeeping)
   uint32_t stream_crc = 0;  // CRC32 of all canonical update streams
   size_t ticks = 0;

@@ -15,10 +15,12 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "stq/common/alloc_stats.h"
 #include "stq/core/query_processor.h"
 #include "stq/core/session.h"
 #include "stq/core/transport.h"
@@ -148,11 +150,15 @@ inline double TicksPerSec(size_t ticks, double seconds) {
 // `--json <path>` (or `--json=<path>`) and mirrors its printed series
 // into a JSON document of the form
 //
-//   {"bench": <name>, "params": {...}, "rows": [{...}, ...]}
+//   {"bench": <name>, "stamp": {...}, "params": {...},
+//    "rows": [{...}, ...]}
 //
-// `params` holds the workload configuration, one `rows` entry per table
-// line (sweep point). Nothing is written unless the flag is present, so
-// the interactive table output stays the default.
+// `stamp` records the build and host the numbers came from (compiler,
+// build type, STQ_ALLOC_COUNTING, hardware threads as `nproc`), under the
+// names of perfbench's `# stamp` lines. `params` holds the workload
+// configuration, one `rows` entry per table line (sweep point). Nothing
+// is written unless the flag is present, so the interactive table output
+// stays the default.
 class BenchReport {
  public:
   BenchReport(const char* name, int argc, char** argv) : name_(name) {
@@ -200,8 +206,10 @@ class BenchReport {
       std::fprintf(stderr, "cannot write bench JSON to %s\n", path_.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"bench\": %s,\n  \"params\": ",
+    std::fprintf(f, "{\n  \"bench\": %s,\n  \"stamp\": ",
                  Quoted(name_).c_str());
+    WriteFields(f, Stamp(), "  ");
+    std::fprintf(f, ",\n  \"params\": ");
     WriteFields(f, params_, "  ");
     std::fprintf(f, ",\n  \"rows\": [");
     for (size_t i = 0; i < rows_.size(); ++i) {
@@ -235,6 +243,21 @@ class BenchReport {
                     static_cast<unsigned long long>(value));
     }
     return buf;
+  }
+
+  static Fields Stamp() {
+#if defined(__clang__)
+    const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
+    const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+    return {{"compiler", Quoted(compiler)},
+            {"build_type", Quoted(STQ_BENCH_BUILD_TYPE)},
+            {"STQ_ALLOC_COUNTING", stq::AllocCountingEnabled() ? "1" : "0"},
+            {"nproc", Encode(nproc)}};
   }
 
   static std::string Quoted(const std::string& s) {

@@ -1,11 +1,8 @@
 #include "stq/common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "stq/common/check.h"
-
-// stq-lint: allow-file(alloc-discipline/function): see thread_pool.h.
 
 namespace stq {
 
@@ -43,17 +40,12 @@ void ThreadPool::ShardBounds(size_t n, int shard, size_t* begin,
   *end = *begin + chunk + (s < remainder ? 1 : 0);
 }
 
-void ThreadPool::RunShards(
-    size_t n, const std::function<void(int, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (num_workers_ == 1) {
-    fn(0, 0, n);
-    return;
-  }
+void ThreadPool::Fork(size_t n, const void* fn, Trampoline call) {
   {
     MutexLock lock(&mu_);
     STQ_CHECK(shards_outstanding_ == 0) << "RunShards is not reentrant";
-    job_ = &fn;
+    job_fn_ = fn;
+    job_call_ = call;
     job_n_ = n;
     shards_outstanding_ = num_workers_ - 1;
     ++generation_;
@@ -62,38 +54,19 @@ void ThreadPool::RunShards(
 
   size_t begin = 0, end = 0;
   ShardBounds(n, /*shard=*/0, &begin, &end);
-  if (begin < end) fn(0, begin, end);
+  if (begin < end) call(fn, 0, begin, end);
 
   MutexLock lock(&mu_);
   while (shards_outstanding_ != 0) work_done_.Wait(mu_);
-  job_ = nullptr;
-}
-
-void ThreadPool::RunDynamic(size_t n,
-                            const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (num_workers_ == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // One claiming loop per worker: RunShards hands each worker exactly one
-  // "slot" and the slots drain a shared atomic cursor. The fork/join
-  // barriers in RunShards give every write made inside fn a
-  // happens-before edge to the caller's code after this returns.
-  std::atomic<size_t> next{0};
-  RunShards(std::min(n, static_cast<size_t>(num_workers_)),
-            [&](int, size_t, size_t) {
-              for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                   i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
-                fn(i);
-              }
-            });
+  job_fn_ = nullptr;
+  job_call_ = nullptr;
 }
 
 void ThreadPool::WorkerLoop(int worker_index) {
   uint64_t last_generation = 0;
   for (;;) {
-    const std::function<void(int, size_t, size_t)>* job = nullptr;
+    const void* fn = nullptr;
+    Trampoline call = nullptr;
     size_t n = 0;
     {
       MutexLock lock(&mu_);
@@ -102,12 +75,13 @@ void ThreadPool::WorkerLoop(int worker_index) {
       }
       if (shutting_down_) return;
       last_generation = generation_;
-      job = job_;
+      fn = job_fn_;
+      call = job_call_;
       n = job_n_;
     }
     size_t begin = 0, end = 0;
     ShardBounds(n, worker_index, &begin, &end);
-    if (begin < end) (*job)(worker_index, begin, end);
+    if (begin < end) call(fn, worker_index, begin, end);
     {
       MutexLock lock(&mu_);
       if (--shards_outstanding_ == 0) work_done_.NotifyOne();

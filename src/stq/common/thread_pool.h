@@ -16,16 +16,17 @@
 // One RunShards call may be in flight per pool at a time (the engine's
 // tick is itself serial); RunShards is not reentrant.
 //
-// stq-lint: allow-file(alloc-discipline/function): the job handed to the
-// persistent worker threads must be type-erased (a template cannot cross
-// the thread boundary), and the std::function is built once per RunShards
-// call — once per tick phase — never per element.
+// The workers never own the caller's callable: they borrow a pointer to
+// it plus a trampoline that knows its type, which is safe because every
+// call blocks until all shards have run. No call allocates.
 
 #ifndef STQ_COMMON_THREAD_POOL_H_
 #define STQ_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -49,10 +50,17 @@ class ThreadPool {
   // Runs fn(shard, begin, end) for every non-empty contiguous shard of
   // [0, n), shard 0 on the calling thread, and returns once all shards
   // completed. Shard boundaries depend only on (n, num_workers).
-  void RunShards(size_t n,
-                 const std::function<void(int shard, size_t begin,
-                                          size_t end)>& fn)
-      STQ_EXCLUDES(mu_);
+  template <typename Fn>
+  void RunShards(size_t n, const Fn& fn) STQ_EXCLUDES(mu_) {
+    if (n == 0) return;
+    if (num_workers_ == 1) {
+      fn(0, 0, n);
+      return;
+    }
+    Fork(n, &fn, [](const void* f, int shard, size_t begin, size_t end) {
+      (*static_cast<const Fn*>(f))(shard, begin, end);
+    });
+  }
 
   // Work-stealing variant: runs fn(i) exactly once for every i in
   // [0, n), but items are claimed dynamically — each idle worker
@@ -62,8 +70,27 @@ class ThreadPool {
   // deterministic by writing only to per-item output slots (the same
   // read-only/per-slot contract as RunShards). Blocks until all n items
   // completed; not reentrant (it is built on RunShards).
-  void RunDynamic(size_t n, const std::function<void(size_t item)>& fn)
-      STQ_EXCLUDES(mu_);
+  template <typename Fn>
+  void RunDynamic(size_t n, const Fn& fn) STQ_EXCLUDES(mu_) {
+    if (n == 0) return;
+    if (num_workers_ == 1 || n == 1) {
+      for (size_t i = 0; i < n; ++i) fn(i);
+      return;
+    }
+    // One claiming loop per worker: RunShards hands each worker exactly
+    // one "slot" and the slots drain a shared atomic cursor. The
+    // fork/join barriers in RunShards give every write made inside fn a
+    // happens-before edge to the caller's code after this returns.
+    std::atomic<size_t> next{0};
+    RunShards(std::min(n, static_cast<size_t>(num_workers_)),
+              [&](int, size_t, size_t) {
+                for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+                     i < n;
+                     i = next.fetch_add(1, std::memory_order_relaxed)) {
+                  fn(i);
+                }
+              });
+  }
 
   // The shard [begin, end) that `shard` receives for a range of n items.
   // Exposed so callers can pre-size per-shard outputs.
@@ -75,6 +102,12 @@ class ThreadPool {
   static int ResolveWorkers(int requested);
 
  private:
+  // Calls the borrowed callable `fn` on one shard.
+  using Trampoline = void (*)(const void* fn, int shard, size_t begin,
+                              size_t end);
+
+  // The type-erased body of RunShards for more than one worker.
+  void Fork(size_t n, const void* fn, Trampoline call) STQ_EXCLUDES(mu_);
   void WorkerLoop(int worker_index);
 
   const int num_workers_;
@@ -88,8 +121,8 @@ class ThreadPool {
   // Generation counter: bumped once per RunShards call; workers run the
   // current job exactly once per generation.
   uint64_t generation_ STQ_GUARDED_BY(mu_) = 0;
-  const std::function<void(int, size_t, size_t)>* job_ STQ_GUARDED_BY(mu_) =
-      nullptr;
+  const void* job_fn_ STQ_GUARDED_BY(mu_) = nullptr;
+  Trampoline job_call_ STQ_GUARDED_BY(mu_) = nullptr;
   size_t job_n_ STQ_GUARDED_BY(mu_) = 0;
   int shards_outstanding_ STQ_GUARDED_BY(mu_) = 0;
   bool shutting_down_ STQ_GUARDED_BY(mu_) = false;

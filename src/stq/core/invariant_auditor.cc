@@ -245,10 +245,11 @@ AuditReport InvariantAuditor::AuditProcessor(const QueryProcessor& qp) const {
   }
   if (qp.sharded()) {
     // Sharded mode: every per-shard engine is a full single-grid
-    // processor, so it gets the complete audit; the routing and
-    // answer-composition invariants live at the router and are checked
-    // by AuditCrossShard (OList union over the shards equals the
-    // committed answer, no object double-counted, routing consistent).
+    // processor, so it gets the complete audit, from-scratch answers
+    // included; a query's committed answer is the union of its shard
+    // answers, so those checks cover it. The routing invariants live at
+    // the router and are checked by AuditCrossShard (no object
+    // double-counted, routing consistent).
     const ShardedEngine& engine = *qp.sharded_engine();
     for (int s = 0; s < engine.num_shards() && !sink.full(); ++s) {
       const AuditReport shard_report = AuditProcessor(engine.shard(s));

@@ -13,17 +13,14 @@ namespace stq {
 
 namespace {
 
-// One (query, object) answer-stream delta during the merge. `d` sums the
-// +1/-1 shard updates and the -1 move-away captures for the pair; `plus`
-// counts the positive shard updates alone (a reset query rebuilds its
-// refcount from the positives of its new incarnation). Leaf streams are
-// sorted by (q, o) with one entry per pair, so merging two streams just
-// adds the fields of equal keys.
+// One (query, object) answer-stream delta during the merge: `d` sums the
+// +1/-1 shard updates and the -1 move-away captures for the pair. Leaf
+// streams are sorted by (q, o) with one entry per pair, so merging two
+// streams just adds the deltas of equal keys.
 struct MergeEntry {
   QueryId q = 0;
   ObjectId o = 0;
   int d = 0;
-  int plus = 0;
 };
 
 bool MergeKeyLess(const MergeEntry& a, const MergeEntry& b) {
@@ -40,7 +37,6 @@ void BuildLeafStream(std::vector<MergeEntry>* v) {
     MergeEntry e = (*v)[i++];
     while (i < v->size() && (*v)[i].q == e.q && (*v)[i].o == e.o) {
       e.d += (*v)[i].d;
-      e.plus += (*v)[i].plus;
       ++i;
     }
     (*v)[w++] = e;
@@ -49,7 +45,7 @@ void BuildLeafStream(std::vector<MergeEntry>* v) {
 }
 
 // Merges two sorted unique-key streams into `out` (cleared first), adding
-// the fields of equal keys. Per-key addition is associative and
+// the deltas of equal keys. Per-key addition is associative and
 // commutative, so ANY reduction-tree pairing of the per-shard leaves
 // produces the same root stream — which is why the tree can run on the
 // worker pool without touching the byte-identity contract.
@@ -66,9 +62,7 @@ void MergeStreams(const std::vector<MergeEntry>& a,
       out->push_back(b[j++]);
     } else {
       MergeEntry e = a[i++];
-      e.d += b[j].d;
-      e.plus += b[j].plus;
-      ++j;
+      e.d += b[j++].d;
       out->push_back(e);
     }
   }
@@ -76,25 +70,12 @@ void MergeStreams(const std::vector<MergeEntry>& a,
   out->insert(out->end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
 }
 
-// Snapshot of a query that is unregistered (or unregistered and
-// re-registered) within this tick. The single-grid engine ships phase-1
-// removal negatives for the OLD incarnation and, on re-registration, a
-// fresh full-answer positive stream — neither follows the plain refcount
-// transition rule, so these queries are merged specially. The membership
-// snapshot lives in TickScratch::reset_members as a [begin, end) slice,
-// so steady-state ticks do not allocate a vector per reset.
-struct Reset {
-  QueryId qid = 0;
-  size_t begin = 0;
-  size_t end = 0;
-};
-
 }  // namespace
 
 // Tick-scoped working buffers, reused across ticks. Every container is
 // cleared (never shrunk) before use, so the steady-state tick allocates
 // only when a buffer outgrows its previous high-water mark. Defined here
-// because MergeEntry/Reset are local to this translation unit.
+// because MergeEntry is local to this translation unit.
 struct ShardedEngine::TickScratch {
   // Indexed by shard id. The route phase fills the sub-batches and the
   // departing-query captures; the shard's task only reads them.
@@ -110,8 +91,12 @@ struct ShardedEngine::TickScratch {
   std::vector<std::vector<MergeEntry>> tree_bufs;
   std::vector<std::vector<MergeEntry>*> tree_cur;
   std::vector<std::vector<MergeEntry>*> tree_next;
-  std::vector<Reset> resets;            // ascending qid (change order)
-  std::vector<ObjectId> reset_members;  // flattened Reset snapshots
+  // Ascending qids (change order): the queries dropped or re-registered
+  // this tick, and the moved queries whose shard set changed.
+  std::vector<QueryId> resets;
+  std::vector<QueryId> rerouted;
+  // The answers of the query being merged, one per shard it is held by.
+  std::vector<const AnswerSet*> answers;
   std::vector<int> ticked;
   std::vector<double> shard_walls;  // indexed by position in `ticked`
   ShardList route_ns;  // routing fan-out of the report being dispatched
@@ -265,6 +250,24 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   std::vector<double> y_edges =
       edges_of(cuts_y, uni.min_y, uni.max_y, cell_h, cells);
 
+  // The handoff must not change any answer: membership is decided by exact
+  // geometry, so every query's answer as the primed shards hold it must
+  // equal its answer as the old shards held it. Keep the old answers,
+  // ascending qid, for that check.
+  std::vector<QueryId> qids;
+  qids.reserve(queries_.size());
+  for (const auto& [qid, rq] : queries_) qids.push_back(qid);
+  std::sort(qids.begin(), qids.end());
+  std::vector<ObjectId> old_answers;
+  std::vector<size_t> old_ends;  // end of each query's slice, qids order
+  old_ends.reserve(qids.size());
+  AnswerSet answer;
+  for (QueryId qid : qids) {
+    GetAnswerSet(qid, &answer);
+    old_answers.insert(old_answers.end(), answer.begin(), answer.end());
+    old_ends.push_back(old_answers.size());
+  }
+
   // --- Commit the new map and hand the routed state off ---------------------
   map_.SetBoundaries(x_edges, y_edges);
   x_cell_cuts_ = std::move(cuts_x);
@@ -290,10 +293,6 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
     if (!(ro.shards == old_shards)) ++moved_objects;
     for (int s : ro.shards) primes[s].upserts.push_back(u);
   }
-  std::vector<QueryId> qids;
-  qids.reserve(queries_.size());
-  for (const auto& [qid, rq] : queries_) qids.push_back(qid);
-  std::sort(qids.begin(), qids.end());
   for (QueryId qid : qids) {
     RoutedQuery& rq = *queries_.FindPtr(qid);
     RouteShardsOf(rq, &rq.shards);
@@ -313,35 +312,21 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
                           &discard.stats);
   }
 
-  // Rebuild the per-(query, object) shard refcounts from the new shard
-  // answers, and check the handoff invariant: membership is decided by
-  // exact geometry, so the committed answer KEYSET of every query must
-  // be unchanged — only multiplicities may differ.
-  FlatMap<QueryId, FlatMap<ObjectId, int>> new_members;
-  std::vector<ObjectId> answer_ids;
-  for (QueryId qid : qids) {
-    const RoutedQuery& rq = *queries_.FindPtr(qid);
-    FlatMap<ObjectId, int>& counts = new_members[qid];
-    for (int s : rq.shards) {
-      answer_ids.clear();
-      STQ_CHECK(shards_[s]->AppendAnswerIds(qid, &answer_ids))
+  size_t begin = 0;
+  for (size_t j = 0; j < qids.size(); ++j) {
+    const QueryId qid = qids[j];
+    for (int s : queries_.FindPtr(qid)->shards) {
+      STQ_CHECK(shards_[s]->queries_.Find(qid) != nullptr)
           << "shard " << s << " lost query " << qid << " across rebalance";
-      for (ObjectId oid : answer_ids) ++counts[oid];
     }
-    size_t old_size = 0;
-    if (const FlatMap<ObjectId, int>* old = members_.FindPtr(qid);
-        old != nullptr) {
-      for (const auto& [oid, c] : *old) {
-        if (c <= 0) continue;
-        ++old_size;
-        STQ_CHECK(counts.contains(oid))
-            << "rebalance dropped object " << oid << " from query " << qid;
-      }
-    }
-    STQ_CHECK(counts.size() == old_size)
+    GetAnswerSet(qid, &answer);
+    STQ_CHECK(std::equal(answer.begin(), answer.end(),
+                         old_answers.begin() + static_cast<ptrdiff_t>(begin),
+                         old_answers.begin() +
+                             static_cast<ptrdiff_t>(old_ends[j])))
         << "rebalance changed the answer keyset of query " << qid;
+    begin = old_ends[j];
   }
-  members_ = std::move(new_members);
 
   ShardRebalanceEvent event;
   event.tick_index = tick_index_;
@@ -471,7 +456,7 @@ void ShardedEngine::Route(const ReportBatch& batch, TickStats* stats) {
     scratch.captures[s].clear();
   }
   scratch.resets.clear();
-  scratch.reset_members.clear();
+  scratch.rerouted.clear();
 
   RouteObjects(batch, stats);
   for (const PendingQueryChange& c : batch.query_changes) {
@@ -569,6 +554,7 @@ void ShardedEngine::RouteQueryChange(const PendingQueryChange& c,
   }
   ShardList& ns = scratch_->route_ns;
   RouteShardsOf(rq, &ns);
+  if (!(ns == rq.shards)) scratch_->rerouted.push_back(c.id);
   for (int s : ns) {
     if (!std::binary_search(rq.shards.begin(), rq.shards.end(), s)) {
       PushQueryChange(s, ShardRegistration(c.id, rq, s));
@@ -601,26 +587,13 @@ void ShardedEngine::RouteQueryChange(const PendingQueryChange& c,
 void ShardedEngine::DropRoutedQuery(QueryId qid, TickStats* stats) {
   auto it = queries_.find(qid);
   STQ_CHECK(it != queries_.end()) << "dropping unknown query " << qid;
-  const RoutedQuery& rq = it->second;
-  TickScratch& scratch = *scratch_;
-  std::vector<ObjectId>& members = scratch.reset_members;
-  Reset r;
-  r.qid = qid;
-  r.begin = members.size();
-  if (auto mit = members_.find(qid); mit != members_.end()) {
-    for (const auto& [oid, cnt] : mit->second) members.push_back(oid);
-    std::sort(members.begin() + static_cast<ptrdiff_t>(r.begin),
-              members.end());
-  }
-  r.end = members.size();
-  scratch.resets.push_back(r);
-  for (int s : rq.shards) {
+  scratch_->resets.push_back(qid);
+  for (int s : it->second.shards) {
     PendingQueryChange u;
     u.kind = QueryChangeKind::kUnregister;
     u.id = qid;
     PushQueryChange(s, u);
   }
-  members_.erase(qid);
   queries_.erase(it);
   ++stats->queries_unregistered;
 }
@@ -704,7 +677,7 @@ void ShardedEngine::TickShards(Timestamp now, TickStats* stats) {
       for (ObjectId oid : captured) {
         if (!std::binary_search(sub.removals.begin(), sub.removals.end(),
                                 oid)) {
-          leaf.push_back(MergeEntry{qid, oid, -1, 0});
+          leaf.push_back(MergeEntry{qid, oid, -1});
         }
       }
     }
@@ -717,8 +690,8 @@ void ShardedEngine::TickShards(Timestamp now, TickStats* stats) {
     // object) within a tick, so the leaf's sort and per-key sums see
     // exactly what the canonical stream would hold.
     for (const Update& u : r.updates) {
-      const int d = u.sign == UpdateSign::kPositive ? 1 : -1;
-      leaf.push_back(MergeEntry{u.query, u.object, d, d > 0 ? 1 : 0});
+      leaf.push_back(MergeEntry{u.query, u.object,
+                                u.sign == UpdateSign::kPositive ? 1 : -1});
     }
     BuildLeafStream(&leaf);
   };
@@ -750,10 +723,9 @@ void ShardedEngine::TickShards(Timestamp now, TickStats* stats) {
 
 void ShardedEngine::Merge(const ReportBatch& batch, std::vector<Update>* out) {
   // The sorted per-shard leaf streams are pairwise-combined on the worker
-  // pool by a reduction tree. Per-key (d, plus) addition is associative
-  // and commutative, so the root stream is independent of pairing and
-  // claim order; only the final application against the router's
-  // committed refcounts — which mutates members_ — stays serial.
+  // pool by a reduction tree. Per-key delta addition is associative and
+  // commutative, so the root stream is independent of pairing and claim
+  // order.
   TickScratch& scratch = *scratch_;
   std::vector<std::vector<MergeEntry>*>& cur = scratch.tree_cur;
   std::vector<std::vector<MergeEntry>*>& next = scratch.tree_next;
@@ -781,71 +753,71 @@ void ShardedEngine::Merge(const ReportBatch& batch, std::vector<Update>* out) {
     cur.swap(next);
   }
 
+  // The serial apply reads the shards' committed answers, the one copy of
+  // every answer. For a root pair (q, o, d), `after` is the number of q's
+  // shards whose answer holds o and `before = after - d`; a global update
+  // ships only when the count crosses 0, so an object handed from one
+  // shard to another (a cancelling -/+ pair) or matched by several
+  // replicas ships nothing spurious.
   static const std::vector<MergeEntry> kNoEntries;
   const std::vector<MergeEntry>& entries = cur.empty() ? kNoEntries : *cur[0];
-  const std::vector<Reset>& resets = scratch.resets;
+  const std::vector<QueryId>& resets = scratch.resets;
+  const std::vector<QueryId>& rerouted = scratch.rerouted;
+  std::vector<const AnswerSet*>& answers = scratch.answers;
   size_t i = 0;
   const size_t n = entries.size();
   while (i < n) {
     const QueryId q = entries[i].q;
     size_t q_end = i;
     while (q_end < n && entries[q_end].q == q) ++q_end;
-    const auto reset = std::lower_bound(
-        resets.begin(), resets.end(), q,
-        [](const Reset& r, QueryId id) { return r.qid < id; });
-    if (reset != resets.end() && reset->qid == q) {
-      // The query was dropped (and possibly re-registered) this tick.
-      // The single-grid engine starts the new incarnation's answer
-      // stream from scratch: every shard-reported member of the NEW
-      // incarnation ships as a positive, regardless of old membership;
-      // the old incarnation's emissions are discarded (its removal
-      // negatives are reconstructed below from the removal batch).
-      const bool reregistered = queries_.contains(q);
-      for (; i < q_end; ++i) {
-        if (reregistered && entries[i].plus > 0) {
-          out->push_back(Update::Positive(q, entries[i].o));
-          members_[q][entries[i].o] = entries[i].plus;
-        }
+    // A query dropped (and possibly re-registered) this tick starts a new
+    // answer stream, as on the single grid: every member of the new
+    // incarnation ships as a positive (before = 0), and of the old
+    // incarnation only the negatives of removed members (below).
+    const bool reset = std::binary_search(resets.begin(), resets.end(), q);
+    const RoutedQuery* rq = queries_.FindPtr(q);
+    // Held by the same single shard before and after the tick: the pair's
+    // count is 0 or 1 on both sides, so `d` alone gives `after`.
+    const bool one_shard =
+        !reset && rq != nullptr && rq->shards.size() == 1 &&
+        !std::binary_search(rerouted.begin(), rerouted.end(), q);
+    answers.clear();
+    if (rq != nullptr) {
+      for (int s : rq->shards) {
+        const QueryRecord* rec = shards_[s]->queries_.Find(q);
+        STQ_CHECK(rec != nullptr) << "shard " << s << " lost query " << q;
+        answers.push_back(&rec->answer);
       }
-      continue;
     }
-    auto mit = members_.find(q);
-    if (mit == members_.end()) mit = members_.try_emplace(q).first;
-    auto& counts = mit->second;
     for (; i < q_end; ++i) {
       const ObjectId o = entries[i].o;
-      const int delta = entries[i].d;
-      if (delta == 0) continue;  // cancelled within or across shards
-      auto cit = counts.find(o);
-      const int before = cit == counts.end() ? 0 : cit->second;
-      const int after = before + delta;
-      STQ_DCHECK(after >= 0) << "negative shard refcount for query " << q
-                             << ", object " << o;
+      const int d = entries[i].d;
+      if (reset && d < 0 &&
+          std::binary_search(batch.removals.begin(), batch.removals.end(),
+                             o)) {
+        // The single grid's phase 1 ships a negative for every removed
+        // member of the query at tick start, even when the query is
+        // dropped later in the tick.
+        out->push_back(Update::Negative(q, o));
+        continue;
+      }
+      if (d == 0 && !reset) continue;  // cancelled within or across shards
+      int after = 0;
+      if (one_shard) {
+        after = d > 0 ? 1 : 0;
+        STQ_DCHECK(after == (answers[0]->contains(o) ? 1 : 0))
+            << "one-shard query " << q << " disagrees with its shard's "
+            << "answer on object " << o;
+      } else {
+        for (const AnswerSet* a : answers) after += a->contains(o) ? 1 : 0;
+      }
+      const int before = reset ? 0 : after - d;
+      STQ_DCHECK(before >= 0) << "negative shard count for query " << q
+                              << ", object " << o;
       if (before == 0 && after > 0) {
         out->push_back(Update::Positive(q, o));
       } else if (before > 0 && after == 0) {
         out->push_back(Update::Negative(q, o));
-      }
-      if (after == 0) {
-        if (cit != counts.end()) counts.erase(cit);
-      } else if (cit == counts.end()) {
-        counts.emplace(o, after);
-      } else {
-        cit->second = after;
-      }
-    }
-    if (counts.empty()) members_.erase(mit);
-  }
-  // Reset negatives: the single-grid engine's phase 1 ships a negative
-  // for every removed object that was a member of a query at tick start —
-  // even when the query itself is dropped later in the tick.
-  if (batch.removals.empty()) return;
-  for (const Reset& r : resets) {
-    for (size_t m = r.begin; m < r.end; ++m) {
-      const ObjectId oid = scratch.reset_members[m];
-      if (std::binary_search(batch.removals.begin(), batch.removals.end(),
-                             oid)) {
-        out->push_back(Update::Negative(r.qid, oid));
       }
     }
   }
@@ -874,23 +846,26 @@ std::vector<int> ShardedEngine::QueryShards(QueryId id) const {
 }
 
 std::vector<ObjectId> ShardedEngine::CurrentAnswer(QueryId id) const {
-  auto it = queries_.find(id);
-  STQ_CHECK(it != queries_.end()) << "answer of unknown query " << id;
-  std::vector<ObjectId> answer;
-  if (auto mit = members_.find(id); mit != members_.end()) {
-    answer.reserve(mit->second.size());
-    for (const auto& [oid, cnt] : mit->second) answer.push_back(oid);
-    std::sort(answer.begin(), answer.end());
-  }
-  return answer;
+  AnswerSet answer;
+  STQ_CHECK(GetAnswerSet(id, &answer)) << "answer of unknown query " << id;
+  return std::vector<ObjectId>(answer.begin(), answer.end());
 }
 
 bool ShardedEngine::GetAnswerSet(QueryId id, AnswerSet* out) const {
   out->clear();
   auto it = queries_.find(id);
   if (it == queries_.end()) return false;
-  if (auto mit = members_.find(id); mit != members_.end()) {
-    for (const auto& [oid, cnt] : mit->second) out->insert(oid);
+  // The union of the query's shard answers; a query held by one shard
+  // copies that shard's answer whole. A shard that lost the query adds
+  // nothing (AuditCrossShard reports it).
+  for (int s : it->second.shards) {
+    const QueryRecord* rec = shards_[s]->queries_.Find(id);
+    if (rec == nullptr) continue;
+    if (out->empty()) {
+      *out = rec->answer;
+    } else {
+      out->insert(rec->answer.begin(), rec->answer.end());
+    }
   }
   return true;
 }
@@ -912,6 +887,7 @@ void ShardedEngine::ForEachObjectInfo(
 void ShardedEngine::ForEachQueryInfo(
     // stq-lint: allow(alloc-discipline/function): cold introspection walk
     const std::function<void(const QueryProcessor::QueryInfo&)>& fn) const {
+  AnswerSet answer;
   for (const auto& [qid, rq] : queries_) {
     QueryProcessor::QueryInfo info;
     info.id = qid;
@@ -920,9 +896,8 @@ void ShardedEngine::ForEachQueryInfo(
     info.circle = rq.circle;
     info.t_from = rq.t_from;
     info.t_to = rq.t_to;
-    if (auto mit = members_.find(qid); mit != members_.end()) {
-      info.answer_size = mit->second.size();
-    }
+    GetAnswerSet(qid, &answer);
+    info.answer_size = answer.size();
     fn(info);
   }
 }
@@ -1056,9 +1031,7 @@ void ShardedEngine::AuditCrossShard(
     }
   }
 
-  // Queries: shard registration matches routing, and the union of the
-  // per-shard answers (with multiplicity) is exactly the router's
-  // reference-counted committed answer.
+  // Queries: shard registration matches routing.
   std::vector<QueryId> qids;
   qids.reserve(queries_.size());
   for (const auto& [qid, rq] : queries_) qids.push_back(qid);
@@ -1074,38 +1047,11 @@ void ShardedEngine::AuditCrossShard(
          << " shard(s) but its region overlaps " << expected.size();
       add(os.str());
     }
-    FlatMap<ObjectId, int> counts;
     for (int s : rq.shards) {
       if (shards_[s]->query_store().Find(qid) == nullptr) {
         std::ostringstream os;
         os << "query " << qid << " routed to shard " << s
            << " but missing from its store";
-        add(os.str());
-        continue;
-      }
-      Result<std::vector<ObjectId>> ans = shards_[s]->CurrentAnswer(qid);
-      if (!ans.ok()) continue;
-      for (ObjectId oid : *ans) ++counts[oid];
-    }
-    const auto mit = members_.find(qid);
-    static const FlatMap<ObjectId, int> kEmpty;
-    const auto& committed = mit == members_.end() ? kEmpty : mit->second;
-    std::vector<ObjectId> keys;
-    for (const auto& [oid, cnt] : counts) keys.push_back(oid);
-    for (const auto& [oid, cnt] : committed) keys.push_back(oid);
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    for (ObjectId oid : keys) {
-      if (full()) return;
-      const auto a = counts.find(oid);
-      const auto b = committed.find(oid);
-      const int shard_count = a == counts.end() ? 0 : a->second;
-      const int ref_count = b == committed.end() ? 0 : b->second;
-      if (shard_count != ref_count) {
-        std::ostringstream os;
-        os << "query " << qid << ", object " << oid << ": " << shard_count
-           << " shard(s) report the pair but the router's refcount is "
-           << ref_count;
         add(os.str());
       }
     }

@@ -31,13 +31,17 @@
 //              and sorts its deltas into a leaf merge stream;
 //   merge      a deterministic pairwise reduction tree combines the leaf
 //              streams on the worker pool (sorted delta streams with
-//              per-pair (delta, positive-count) sums — associative, so
-//              any pairing yields the same root stream); then a
-//              per-(query, object) reference count, applied serially,
-//              emits a global update only when the count transitions
-//              0 <-> positive, so an object handed from one shard to
-//              another (a cancelling -/+ pair) or matched by several
-//              replicas yields no spurious updates.
+//              per-pair delta sums — associative, so any pairing yields
+//              the same root stream); then a serial apply reads, for each
+//              root pair, how many of the query's shards now hold the
+//              object, and emits a global update only when that count
+//              crosses 0, so an object handed from one shard to another
+//              (a cancelling -/+ pair) or matched by several replicas
+//              yields no spurious updates.
+//
+// The shards' committed answers are the only copy of every answer: the
+// router keeps none of its own, and reads a query's answer as the union
+// of its shards' answers.
 //
 // The front then refreshes its k-NN queries on this engine's pool and
 // seals the tick (canonical order), byte-identical to the single-grid
@@ -121,8 +125,9 @@ class ShardedEngine {
   std::vector<int> ObjectShards(ObjectId id) const;
   std::vector<int> QueryShards(QueryId id) const;
 
-  // Committed answer / from-scratch recomputation of a query the router
-  // holds (QueryProcessor checks that it exists), sorted by object id.
+  // Committed answer (the union of the shards' answers) / from-scratch
+  // recomputation of a query the router holds (QueryProcessor checks that
+  // it exists), sorted by object id.
   std::vector<ObjectId> CurrentAnswer(QueryId id) const;
   std::vector<ObjectId> EvaluateFromScratch(QueryId id) const;
   bool GetAnswerSet(QueryId id, AnswerSet* out) const;
@@ -156,10 +161,8 @@ class ShardedEngine {
 
   // Cross-shard invariants, appended to `violations` (up to
   // `max_violations` total). Used by InvariantAuditor on top of the
-  // per-shard audits:
-  //   * every query's answer (OList) union over its shards equals the
-  //     router's committed answer, with per-shard multiplicity exactly
-  //     matching the router's reference counts;
+  // per-shard audits, which check each shard's answers against its own
+  // from-scratch evaluation (a query's answer is their union):
   //   * no object is double-counted: each object is present in exactly
   //     the shards the routing rule assigns it (one home shard for
   //     sampled objects), with matching stored state;
@@ -212,13 +215,14 @@ class ShardedEngine {
   // shard engines are quiescent. (rebalance_seconds)
   void MaybeRebalance(Timestamp now, TickStats* stats);
   // Updates the routed records and fills the per-shard sub-batches,
-  // captures and query resets. (shard_route_seconds)
+  // captures, and the reset and re-routed query lists.
+  // (shard_route_seconds)
   void Route(const ReportBatch& batch, TickStats* stats);
   // Each touched shard reads its captures, applies its sub-batch and
   // builds its leaf merge stream, in parallel. (shard_tick_*)
   void TickShards(Timestamp now, TickStats* stats);
-  // Reduction tree over the leaf streams, then the serial refcount apply
-  // and the reset negatives. (shard_merge_seconds)
+  // Reduction tree over the leaf streams, then the serial apply against
+  // the shards' answers. (shard_merge_seconds)
   void Merge(const ReportBatch& batch, std::vector<Update>* out);
   // The engine's k-NN search, which the front's refresh calls: offers
   // `best` every object that can beat its bound, from the home shard of
@@ -258,10 +262,6 @@ class ShardedEngine {
   std::vector<std::unique_ptr<QueryProcessor>> shards_;
   FlatMap<ObjectId, RoutedObject> objects_;
   FlatMap<QueryId, RoutedQuery> queries_;
-  // Per-(query, object) shard-membership reference counts: how many
-  // shards currently report the pair. The committed global answer is
-  // exactly the keys with positive count.
-  FlatMap<QueryId, FlatMap<ObjectId, int>> members_;
   // The previous tick's time: a rebalance primes the rebuilt shards at
   // it, reproducing their answers as of the last committed tick.
   Timestamp last_tick_time_ = 0.0;
@@ -277,9 +277,9 @@ class ShardedEngine {
 
   // Tick-scoped scratch reused across ticks; every container is cleared
   // before use, so no state carries over — only capacity does (see
-  // DESIGN.md, "Memory layout & allocation discipline"). The
-  // MergeEntry/Reset element types are private to the .cc, so the
-  // buffers they need are declared there via this opaque holder.
+  // DESIGN.md, "Memory layout & allocation discipline"). The MergeEntry
+  // element type is private to the .cc, so the buffers it needs are
+  // declared there via this opaque holder.
   struct TickScratch;
   std::unique_ptr<TickScratch> scratch_;
 };

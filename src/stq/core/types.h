@@ -108,7 +108,7 @@ struct TickStats {
   double shard_tick_wall_seconds = 0.0;  // fork/join of per-shard ticks
   double shard_tick_busy_seconds = 0.0;  // sum of per-shard tick walls
   double shard_tick_max_seconds = 0.0;   // slowest shard (critical path)
-  double shard_merge_seconds = 0.0;   // refcount merge + canonicalization
+  double shard_merge_seconds = 0.0;   // stream merge + canonicalization
   double shard_knn_seconds = 0.0;     // the whole k-NN refresh
 
   // The parallelizable share of this tick (match + k-NN search time).

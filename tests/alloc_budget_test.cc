@@ -108,11 +108,12 @@ TEST(AllocBudgetTest, ShardedSteadyStateTickStaysUnderBudget) {
   std::printf("steady-state worst allocs/tick (4 shards): %llu\n",
               static_cast<unsigned long long>(worst));
   // With per-shard sub-batches, leaf streams, reduction-tree buffers and
-  // result envelopes all living in the router's TickScratch, the sharded
-  // steady state sits within a few dozen allocations of the single-grid
-  // engine's (the remainder is std::function dispatch in the pool). Keep
-  // it there: the old per-tick router buffers cost ~700 extra
-  // allocations per tick at this scale.
+  // result envelopes all living in the router's TickScratch, and the pool
+  // handing its workers a borrowed pointer to the caller's lambda (no
+  // std::function), the sharded steady state sits within a few
+  // allocations of the single-grid engine's. Keep it there: the old
+  // per-tick router buffers cost ~700 extra allocations per tick at this
+  // scale.
   EXPECT_LE(worst, 256u);
 }
 

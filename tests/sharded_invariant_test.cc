@@ -1,10 +1,10 @@
 // Corruption drills for the sharded invariant audit: a healthy sharded
 // engine audits clean at every shard count, and each class of seeded
 // cross-shard divergence — a shard losing an object the router routed
-// there, per-shard answers disagreeing with the router's reference
-// counts, shard state drifting from the router's record, a k-NN answer
-// diverging from the cross-shard search — is reported, both through
-// AuditCrossShard directly and through the public CheckInvariants path.
+// there, a shard losing a member of its answer, shard state drifting
+// from the router's record, a k-NN answer diverging from the cross-shard
+// search — is reported, both through AuditCrossShard directly and
+// through the public CheckInvariants path.
 
 #include <sstream>
 #include <string>
@@ -94,14 +94,14 @@ TEST(ShardedInvariantTest, DetectsObjectMissingFromRoutedShard) {
   EXPECT_FALSE(qp.CheckInvariants().ok());
 }
 
-TEST(ShardedInvariantTest, DetectsShardAnswerRefcountMismatch) {
+TEST(ShardedInvariantTest, DetectsShardAnswerLoss) {
   QueryProcessor qp(ShardedOptions());
   Populate(&qp);
   ShardedEngine* engine = qp.sharded_engine_for_testing();
 
   // Scrub the (query 10, object 1) pair from the owning shard's answer
-  // and QList: the per-shard engine stays self-consistent enough that
-  // only the router-level refcount comparison can notice the loss.
+  // and QList: the shard stays structurally self-consistent, so only its
+  // from-scratch comparison notices the loss, attributed to the shard.
   const std::vector<int> shards = engine->ObjectShards(1);
   ASSERT_EQ(shards.size(), 1u);
   QueryProcessor& shard = engine->shard_for_testing(shards[0]);
@@ -112,14 +112,13 @@ TEST(ShardedInvariantTest, DetectsShardAnswerRefcountMismatch) {
   ASSERT_NE(o, nullptr);
   ASSERT_TRUE(ObjectStore::RemoveQuery(o, 10));
 
-  InvariantAuditor::Options structural;
-  structural.verify_answers_from_scratch = false;
-  const AuditReport report =
-      InvariantAuditor(structural).AuditProcessor(qp);
+  const AuditReport report = InvariantAuditor().AuditProcessor(qp);
   ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.ToString().find("query 10, object 1"), std::string::npos)
+  std::ostringstream expected;
+  expected << "shard " << shards[0] << ": query 10 incremental answer";
+  EXPECT_NE(report.ToString().find(expected.str()), std::string::npos)
       << report.ToString();
-  EXPECT_NE(report.ToString().find("refcount is 1"), std::string::npos)
+  EXPECT_NE(report.ToString().find("diverges"), std::string::npos)
       << report.ToString();
 }
 
