@@ -52,7 +52,6 @@ struct RunResult {
   double removals = 0.0;
   double upserts = 0.0;
   double match = 0.0;
-  double apply = 0.0;
   double qpass = 0.0;
   double adapt_seconds = 0.0;
   double rebalance_seconds = 0.0;
@@ -107,7 +106,6 @@ RunResult RunWorkload(const stq::Workload& workload,
     result.removals += tick.stats.removals_seconds;
     result.upserts += tick.stats.upserts_seconds;
     result.match += tick.stats.object_match_seconds;
-    result.apply += tick.stats.object_apply_seconds;
     result.qpass += tick.stats.query_pass_seconds;
     result.adapt_seconds += tick.stats.adapt_seconds;
     result.rebalance_seconds += tick.stats.rebalance_seconds;
@@ -155,9 +153,8 @@ void EmitRow(const char* name, int shards, const RowResult& row,
       r.cells_merged, r.rebalances, r.adapt_seconds, allocs_per_tick,
       r.stream_crc);
   std::printf(
-      "  phases: removals=%.3f upserts=%.3f match=%.3f apply=%.3f "
-      "qpass=%.3f\n",
-      r.removals, r.upserts, r.match, r.apply, r.qpass);
+      "  phases: removals=%.3f upserts=%.3f match=%.3f qpass=%.3f\n",
+      r.removals, r.upserts, r.match, r.qpass);
 
   report->BeginRow();
   report->Value("engine", name);

@@ -302,7 +302,6 @@ inline void ReportTickStats(BenchReport* report, const stq::TickStats& stats) {
   report->Value("query_changes_seconds", stats.query_changes_seconds);
   report->Value("query_pass_seconds", stats.query_pass_seconds);
   report->Value("object_match_seconds", stats.object_match_seconds);
-  report->Value("object_apply_seconds", stats.object_apply_seconds);
   report->Value("knn_search_seconds", stats.knn_search_seconds);
   report->Value("knn_apply_seconds", stats.knn_apply_seconds);
   report->Value("heap_allocations", stats.heap_allocations);

@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
       phase_sums.query_changes_seconds += tick.stats.query_changes_seconds;
       phase_sums.query_pass_seconds += tick.stats.query_pass_seconds;
       phase_sums.object_match_seconds += tick.stats.object_match_seconds;
-      phase_sums.object_apply_seconds += tick.stats.object_apply_seconds;
       phase_sums.knn_search_seconds += tick.stats.knn_search_seconds;
       phase_sums.knn_apply_seconds += tick.stats.knn_apply_seconds;
       phase_sums.heap_allocations += tick.stats.heap_allocations;

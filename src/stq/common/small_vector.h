@@ -1,6 +1,6 @@
 // SmallVector<T, N>: a contiguous dynamic array with inline storage for
 // the first N elements. The hot tick path is full of tiny vectors — a
-// grid cell's id lists, an object's QList, the per-worker delta buffers —
+// grid cell's id lists, an object's QList, an entity's shard list —
 // whose common case is "a handful of elements"; keeping those inline
 // removes one heap allocation (and one pointer chase) per container.
 //

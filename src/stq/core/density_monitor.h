@@ -46,7 +46,7 @@ class DensityMonitor {
   size_t num_dense_cells() const { return dense_.size(); }
 
   // Whether `c` was dense at the last Tick (the reported set, not a live
-  // recount). The GridRefiner keys its split decisions off this set.
+  // recount).
   bool IsDense(const CellCoord& c) const { return dense_.count(Key(c)) != 0; }
 
   // The currently reported dense cells, in (y, x) order.

@@ -82,7 +82,9 @@ struct CandidateBatch {
 };
 
 // Replays the set bits of `batch.bits` as positive memberships of `q`,
-// ascending by batch index — i.e. in exactly the gather order.
+// ascending by batch index — i.e. in exactly the gather order. The
+// insert half of SetMembership, except that an object's record is looked
+// up only when the answer insert succeeds (a member stays a no-op).
 inline void EmitBatchPositives(const CandidateBatch& batch,
                                ObjectStore* objects, QueryRecord* q,
                                std::vector<Update>* out) {
@@ -92,7 +94,11 @@ inline void EmitBatchPositives(const CandidateBatch& batch,
     while (word != 0) {
       const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
       word &= word - 1;
-      SetMembership(objects->FindMutable(batch.ids[i]), q, true, out);
+      const ObjectId oid = batch.ids[i];
+      if (q->answer.insert(oid)) {
+        ObjectStore::AddQuery(objects->FindMutable(oid), q->id);
+        out->push_back(Update::Positive(q->id, oid));
+      }
     }
   }
 }

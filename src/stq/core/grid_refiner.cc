@@ -7,7 +7,6 @@ namespace stq {
 GridRefiner::GridRefiner(const AdaptiveGridOptions& options, GridIndex* grid)
     : options_(options),
       grid_(grid),
-      monitor_(grid, options.split_threshold),
       last_change_(static_cast<size_t>(grid->cells_x()) *
                        static_cast<size_t>(grid->cells_y()),
                    // Far enough in the past that the first tick is never
@@ -19,9 +18,6 @@ GridRefiner::GridRefiner(const AdaptiveGridOptions& options, GridIndex* grid)
 GridRefiner::StepStats GridRefiner::Tick(const ObjectStore& objects,
                                          const QueryStore& queries) {
   ++tick_;
-  // Refresh the dense-cell set; its +/- delta is the monitor's own
-  // product, the refiner only consumes the resulting set.
-  monitor_.Tick();
 
   auto object_geometry = [&](ObjectId id) {
     const ObjectRecord* o = objects.Find(id);
@@ -47,11 +43,10 @@ GridRefiner::StepStats GridRefiner::Tick(const ObjectStore& objects,
                          static_cast<size_t>(cx);
       if (tick_ - last_change_[idx] < options_.cooldown_ticks) continue;
       const int level = grid_->CellLevel(c);
-      // Split: the cell is dense (monitor) and its densest slot still
-      // costs >= split_threshold entries per candidate scan. At level 0
-      // the two conditions coincide (one slot, entries == population);
+      // Split: the densest slot still costs >= split_threshold entries
+      // per candidate scan. At level 0 the slot is the whole cell;
       // deeper levels keep splitting only while some leaf stays hot.
-      if (level < options_.max_level && monitor_.IsDense(c) &&
+      if (level < options_.max_level &&
           grid_->MaxLeafObjectEntries(c) >= options_.split_threshold) {
         grid_->SetCellLevel(c, level + 1, object_geometry, query_geometry);
         last_change_[idx] = tick_;

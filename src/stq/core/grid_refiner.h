@@ -1,14 +1,17 @@
 // GridRefiner: the adaptive layer that drives per-cell grid resolution
-// from the DensityMonitor's dense-cell set (see DESIGN.md, "Adaptive
+// from the grid's own per-cell counts (see DESIGN.md, "Adaptive
 // partitioning").
 //
 // Once per tick — after the tick's updates are committed — the refiner
 // scans the grid and applies at most one level step per base cell:
 //
-//   split  a cell one level finer when it is dense (DensityMonitor) and
-//          its densest slot holds >= split_threshold object entries;
+//   split  a cell one level finer when its densest slot holds
+//          >= split_threshold object entries;
 //   merge  a refined cell one level coarser when its distinct-object
 //          population falls to <= merge_threshold.
+//
+// A slot holds each id at most once, so a cell that splits also holds
+// >= split_threshold distinct objects (dense, in DensityMonitor's terms).
 //
 // merge_threshold < split_threshold (the hysteresis band) plus a
 // per-cell cooldown of >= 2 ticks guarantees a cell never oscillates
@@ -27,7 +30,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stq/core/density_monitor.h"
 #include "stq/core/object_store.h"
 #include "stq/core/options.h"
 #include "stq/core/query_store.h"
@@ -53,13 +55,11 @@ class GridRefiner {
   // was populated from, with no reports pending.
   StepStats Tick(const ObjectStore& objects, const QueryStore& queries);
 
-  const DensityMonitor& density() const { return monitor_; }
   int64_t ticks() const { return tick_; }
 
  private:
   AdaptiveGridOptions options_;
   GridIndex* grid_;
-  DensityMonitor monitor_;
   // Per-base-cell tick of the last level change, indexed cy * nx + cx.
   std::vector<int64_t> last_change_;
   int64_t tick_ = 0;

@@ -27,11 +27,14 @@
 //
 // On a sharded processor (options().num_shards > 1) checks 1-3 and 5 run
 // on every per-shard engine, and a cross-shard pass verifies the router's
-// composition: every object lives in exactly the shards the routing rule
-// assigns it (no double counting), every query is registered in exactly
-// the shards its region overlaps, and the per-shard OList union (with
-// multiplicity) equals the router's committed answer. Checks 4 and 5 then
-// run on the front's k-NN queries.
+// composition: every shard covers its slab of the shard map, every object
+// lives in exactly the shards the routing rule assigns it (no double
+// counting) with the router's state, every query is registered in exactly
+// the shards its region overlaps with the router's kind, and no shard
+// holds an object or query the router did not route there. The router
+// keeps no answers of its own (a query's answer is the union of its
+// shards'), so the per-shard checks cover every answer. Checks 4 and 5
+// then run on the front's k-NN queries.
 //
 // AuditServer additionally verifies the committed-answer repository only
 // references registered queries.

@@ -83,11 +83,12 @@ struct QueryProcessorOptions {
   // Byte accounting used in TickResult::WireBytes and by Server.
   WireCostModel wire_cost;
 
-  // Workers for the data-parallel tick phases (object matching, k-NN
-  // searches). 1 (the default) keeps evaluation fully serial; 0 resolves
-  // to the hardware concurrency at construction. The tick's update
-  // stream is byte-identical for every worker count — see DESIGN.md,
-  // "Threading model".
+  // Workers of the sharded engine's pool (num_shards > 1): shard ticks,
+  // the merge tree and the k-NN refresh. 1 (the default) keeps the tick
+  // serial; 0 resolves to the hardware concurrency at construction.
+  // Ignored with one shard: the single grid always ticks serially. The
+  // tick's update stream is byte-identical for every worker count — see
+  // DESIGN.md, "Threading model".
   int worker_threads = 1;
 
   // Number of rectangular spatial shards the universe is partitioned

@@ -1,7 +1,6 @@
 #include "stq/core/query_processor.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -70,14 +69,9 @@ QueryProcessor::QueryProcessor(const QueryProcessorOptions& options,
     : options_(options),
       history_(options.record_history ? std::make_unique<HistoryStore>()
                                       : nullptr),
-      // In sharded mode the engine owns the pool and all spatial state;
-      // the front keeps only a 1-cell placeholder grid so the evaluator
-      // members stay valid.
-      pool_(options.num_shards <= 1 &&
-                    ThreadPool::ResolveWorkers(options.worker_threads) > 1
-                ? std::make_unique<ThreadPool>(
-                      ThreadPool::ResolveWorkers(options.worker_threads))
-                : nullptr),
+      // In sharded mode the engine owns all spatial state; the front
+      // keeps only a 1-cell placeholder grid so the evaluator members
+      // stay valid.
       grid_(std::make_unique<GridIndex>(options_.bounds,
                                         options.num_shards > 1 ? 1 : cells_x,
                                         options.num_shards > 1 ? 1 : cells_y)),
@@ -599,64 +593,60 @@ void QueryProcessor::RunQueryPass(
   }
 }
 
-void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
-                                      size_t begin, size_t end,
-                                      MatchOutput* out) const {
-  // Read-only over the grid and both stores: every decision is recorded
-  // as a delta intent and replayed later by ApplyMatchDeltas. Other
-  // shards run this concurrently against the same state.
-  std::vector<QueryId>& candidates = out->candidates;
-  for (size_t i = begin; i < end; ++i) {
-    const ObjectId oid = moved[i];
-    const ObjectRecord* o = objects_.Find(oid);
+void QueryProcessor::RunObjectPass(const std::vector<ObjectId>& moved,
+                                   std::vector<Update>* out,
+                                   TickStats* stats) {
+  PhaseTimer timer(&stats->object_match_seconds);
+  std::vector<QueryId>& candidates = scratch_.candidates;
+  std::vector<SlotProbe>& probes = scratch_.probes;
+  probes.clear();
+  for (ObjectId oid : moved) {
+    ObjectRecord* o = objects_.FindMutable(oid);
     if (o == nullptr) continue;  // upserted then removed within the tick
 
-    // Negative side: re-test every membership under the new report.
-    for (QueryId qid : o->queries) {
-      const QueryRecord* q = queries_.Find(qid);
-      STQ_DCHECK(q != nullptr) << "QList references missing query " << qid;
-      if (!Satisfies(*o, *q, options_)) {
-        out->deltas.push_back(MatchDelta{qid, oid, false});
-      }
+    // Negative side: re-test every membership under the new report. The
+    // QList is sorted and SetMembership erases in place, so walking it
+    // backwards visits each member once.
+    for (size_t i = o->queries.size(); i-- > 0;) {
+      QueryRecord* q = queries_.FindMutable(o->queries[i]);
+      STQ_DCHECK(q != nullptr) << "QList references missing query "
+                               << o->queries[i];
+      if (!Satisfies(*o, *q, options_)) SetMembership(o, q, false, out);
     }
 
     // Positive side: candidate queries are those stubbed into the cells
     // the object's (new) footprint touches. A sampled mover's candidates
     // come from exactly one grid slot, so it is deferred into the
-    // per-slot SoA batches (MatchProbeBatches below); a predictive
-    // mover's footprint spans several slots, so it is probed here, one
-    // candidate at a time.
+    // per-slot SoA batches (RunSlotProbes below); a predictive mover's
+    // footprint spans several slots, so it is probed here, one candidate
+    // at a time.
     if (!o->predictive) {
-      out->probes.push_back(
-          SlotProbe{grid_->SlotKeyOfPoint(o->loc), oid, o->loc.x, o->loc.y,
-                    o->t});
+      probes.push_back(SlotProbe{grid_->SlotKeyOfPoint(o->loc), oid, o->loc.x,
+                                 o->loc.y, o->t});
       continue;
     }
     grid_->CollectQueriesInRect(o->footprint.BoundingBox(), &candidates);
     for (QueryId qid : candidates) {
-      const QueryRecord* q = queries_.Find(qid);
+      QueryRecord* q = queries_.FindMutable(qid);
       STQ_DCHECK(q != nullptr) << "grid stub references missing query " << qid;
-      if (Satisfies(*o, *q, options_)) {
-        out->deltas.push_back(MatchDelta{qid, oid, true});
-      }
+      if (Satisfies(*o, *q, options_)) SetMembership(o, q, true, out);
     }
   }
-  MatchProbeBatches(out);
+  RunSlotProbes(out);
 }
 
-void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
+void QueryProcessor::RunSlotProbes(std::vector<Update>* out) {
   // The deferred positive side of the object pass. Per (query, object)
   // pair this evaluates the exact predicate of the evaluators' Satisfies
   // (the predictive case reduces to the rect+window kernel because every
-  // sampled object has zero velocity), against the same pre-pass state
-  // the per-candidate loop above reads.
-  std::vector<SlotProbe>& probes = out->probes;
+  // sampled object has zero velocity).
+  std::vector<SlotProbe>& probes = scratch_.probes;
   if (probes.empty()) return;
   std::sort(probes.begin(), probes.end(),
             [](const SlotProbe& a, const SlotProbe& b) {
               return a.slot != b.slot ? a.slot < b.slot : a.oid < b.oid;
             });
-  CandidateBatch& b = out->batch;
+  CandidateBatch& b = scratch_.kernel_batch;
   for (size_t g0 = 0; g0 < probes.size();) {
     size_t g1 = g0 + 1;
     while (g1 < probes.size() && probes[g1].slot == probes[g0].slot) ++g1;
@@ -677,7 +667,7 @@ void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
     // is the exact candidate set the degenerate point-rect walk produces
     // for each of them.
     grid_->ForEachQueryAt(Point{probes[g0].x, probes[g0].y}, [&](QueryId qid) {
-      const QueryRecord* q = queries_.Find(qid);
+      QueryRecord* q = queries_.FindMutable(qid);
       STQ_DCHECK(q != nullptr) << "grid stub references missing query " << qid;
       switch (q->kind) {
         case QueryKind::kRange:
@@ -702,56 +692,10 @@ void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
           STQ_DCHECK(false) << "k-NN query " << qid << " in the grid";
           return;
       }
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t word = b.bits[w];
-        while (word != 0) {
-          const size_t i =
-              w * 64 + static_cast<size_t>(std::countr_zero(word));
-          word &= word - 1;
-          out->deltas.push_back(MatchDelta{qid, b.ids[i], true});
-        }
-      }
+      EmitBatchPositives(b, &objects_, q, out);
     });
     g0 = g1;
   }
-}
-
-void QueryProcessor::ApplyMatchDeltas(std::vector<MatchOutput>& outputs,
-                                      std::vector<Update>* out) {
-  // Shard order equals `moved` order, so this replay emits the same
-  // update sequence the serial pass would have; SetMembership makes
-  // duplicate decisions for one (query, object) pair no-ops.
-  for (const MatchOutput& m : outputs) {
-    for (const MatchDelta& d : m.deltas) {
-      ObjectRecord* o = objects_.FindMutable(d.oid);
-      QueryRecord* q = queries_.FindMutable(d.qid);
-      STQ_DCHECK(o != nullptr && q != nullptr);
-      SetMembership(o, q, d.add, out);
-    }
-  }
-}
-
-void QueryProcessor::RunObjectPass(const std::vector<ObjectId>& moved,
-                                   std::vector<Update>* out,
-                                   TickStats* stats) {
-  const int shards = pool_ == nullptr ? 1 : pool_->num_workers();
-  std::vector<MatchOutput>& outputs = scratch_.match_outputs;
-  outputs.resize(static_cast<size_t>(shards));
-  for (MatchOutput& m : outputs) m.clear();
-  {
-    PhaseTimer timer(&stats->object_match_seconds);
-    if (pool_ != nullptr) {
-      pool_->RunShards(moved.size(),
-                       [&](int shard, size_t begin, size_t end) {
-                         MatchObjectShard(moved, begin, end,
-                                          &outputs[static_cast<size_t>(shard)]);
-                       });
-    } else {
-      MatchObjectShard(moved, 0, moved.size(), &outputs[0]);
-    }
-  }
-  PhaseTimer timer(&stats->object_apply_seconds);
-  ApplyMatchDeltas(outputs, out);
 }
 
 TickResult QueryProcessor::EvaluateTick(Timestamp now) {
@@ -767,6 +711,7 @@ TickResult QueryProcessor::EvaluateTick(Timestamp now) {
   result.time = now;
   TickStats* stats = &result.stats;
   std::vector<Update>* out = &result.updates;
+  out->reserve(last_stream_size_);
 
   // The batch lives in scratch_ and keeps its capacity across ticks;
   // Drain clears it before refilling.
@@ -798,7 +743,8 @@ TickResult QueryProcessor::EvaluateTick(Timestamp now) {
 
   // The k-NN queries are the front's: their changes leave the batch
   // before the engine sees it, and their answers refresh once the engine
-  // has applied the rest, on whichever engine owns the pool.
+  // has applied the rest (on the sharded engine's pool; serially on a
+  // single grid).
   knn_monitor_.TakeChanges(
       &batch, [this](QueryId id) { return FindEngineQuery(id).has_value(); },
       out, stats);
@@ -809,13 +755,14 @@ TickResult QueryProcessor::EvaluateTick(Timestamp now) {
   }
   knn_monitor_.Refresh(
       batch, num_objects(),
-      sharded_ != nullptr ? sharded_->pool_.get() : pool_.get(),
+      sharded_ != nullptr ? sharded_->pool_.get() : nullptr,
       [this](const Point& center, KnnEvaluator::KBest* best) {
         SearchKnn(center, best);
       },
       out, stats);
 
   // Seal the tick.
+  last_stream_size_ = out->size();
   {
     // Canonicalization is the single-grid analogue of the sharded merge.
     PhaseTimer merge_timer(&stats->shard_merge_seconds);
@@ -873,9 +820,7 @@ void QueryProcessor::TickBatch(const ReportBatch& batch, Timestamp now,
       PhaseTimer timer(&stats->query_pass_seconds);
       RunQueryPass(changed_rects, moved_circles, out);
     }
-    // Phase 5: incremental evaluation of moved/new objects (parallel
-    // match, serial apply; times the halves into
-    // object_match/apply_seconds).
+    // Phase 5: incremental evaluation of moved/new objects.
     RunObjectPass(moved, out, stats);
   }
   stats->shards_ticked = 1;
@@ -963,8 +908,7 @@ Result<std::vector<ObjectId>> QueryProcessor::EvaluatePastRangeQuery(
 }
 
 int QueryProcessor::worker_threads() const {
-  if (sharded_ != nullptr) return sharded_->worker_threads();
-  return pool_ == nullptr ? 1 : pool_->num_workers();
+  return sharded_ != nullptr ? sharded_->worker_threads() : 1;
 }
 
 size_t QueryProcessor::num_objects() const {

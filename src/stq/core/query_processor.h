@@ -20,11 +20,11 @@
 //   - predictive range queries over a future time window, matched against
 //     linear trajectories of velocity-reporting objects.
 //
-// Thread-compatible; callers serialize access. Internally, EvaluateTick
-// fans its read-only matching and k-NN search work out across
-// options.worker_threads workers and replays the resulting deltas
-// serially, so the update stream is byte-identical for every worker
-// count (see DESIGN.md, "Threading model").
+// Thread-compatible; callers serialize access. A single grid ticks
+// serially; with options.num_shards > 1 the sharded engine runs its shard
+// ticks, merge tree and the k-NN refresh on options.worker_threads
+// workers, and the update stream is byte-identical for every shard and
+// worker count (see DESIGN.md, "Threading model").
 //
 // k-NN queries live here at the front, in one KnnMonitor for both
 // engines: each tick takes their changes out of the drained batch and,
@@ -42,7 +42,6 @@
 #include "stq/common/flat_hash.h"
 #include "stq/common/result.h"
 #include "stq/common/status.h"
-#include "stq/common/thread_pool.h"
 #include "stq/core/circle_evaluator.h"
 #include "stq/core/engine_state.h"
 #include "stq/core/history_store.h"
@@ -137,8 +136,9 @@ class QueryProcessor {
   bool sharded() const { return sharded_ != nullptr; }
   // The underlying sharded engine, or nullptr in single-grid mode.
   const ShardedEngine* sharded_engine() const { return sharded_.get(); }
-  // Resolved worker count for the parallel tick phases (>= 1; equals
-  // options().worker_threads unless that was 0 = auto).
+  // Resolved worker count of the sharded engine's pool (>= 1; equals
+  // options().worker_threads unless that was 0 = auto). Always 1 for a
+  // single grid, which ignores options().worker_threads.
   int worker_threads() const;
   size_t num_objects() const;
   size_t num_queries() const;
@@ -294,30 +294,20 @@ class QueryProcessor {
   void RunQueryPass(const std::vector<std::pair<QueryId, Rect>>& changed,
                     const std::vector<QueryId>& moved_circles,
                     std::vector<Update>* out);
+  // The object pass: one serial loop over `moved` that decides and
+  // applies each (query, object) pair in one step. Per mover it drops the
+  // QList members the new report fails and adds a predictive mover's
+  // satisfying candidates; the sampled movers' positives run afterwards,
+  // grouped by grid slot (RunSlotProbes). Every decision is a geometry
+  // test (Satisfies) of state the pass never writes; each object is in
+  // `moved` once, so only its own steps touch its pairs, and its negative
+  // and positive tests cover disjoint queries. The stream is therefore
+  // the one a decide-everything-then-apply pass would emit.
   void RunObjectPass(const std::vector<ObjectId>& moved,
                      std::vector<Update>* out, TickStats* stats);
-
-  // The object pass, split for shared-nothing parallelism:
-  //
-  //   match  (parallel)  each shard scans its slice of `moved` against
-  //                      the grid and the stores — strictly read-only —
-  //                      and records membership deltas in its own
-  //                      MatchOutput;
-  //   apply  (serial)    the deltas replay through SetMembership in
-  //                      shard order, which is exactly the order the
-  //                      serial pass would have produced.
-  //
-  // A delta's sign is decided purely by geometry (Satisfies) against the
-  // pre-pass state, so the replay is idempotent per (query, object) and
-  // the resulting update stream is byte-identical for any worker count.
-  struct MatchDelta {
-    QueryId qid = 0;
-    ObjectId oid = 0;
-    bool add = false;
-  };
-  // One sampled mover's positive-side probe in the batch object pass:
-  // its grid slot key plus the gathered state, so the slot-grouped kernel
-  // loop never re-touches the object store.
+  // One sampled mover's positive-side probe in the object pass: its grid
+  // slot key plus the gathered state, so the slot-grouped kernel loop
+  // never re-touches the object store.
   struct SlotProbe {
     uint64_t slot = 0;
     ObjectId oid = 0;
@@ -325,30 +315,10 @@ class QueryProcessor {
     double y = 0.0;
     double t = 0.0;
   };
-  struct MatchOutput {
-    std::vector<MatchDelta> deltas;
-    // Per-shard candidate scratch for CollectQueriesInRect; lives here so
-    // its capacity survives across ticks with the rest of the output.
-    std::vector<QueryId> candidates;
-    // Per-slot probe list and the SoA kernel batch.
-    std::vector<SlotProbe> probes;
-    CandidateBatch batch;
-
-    void clear() {
-      deltas.clear();
-      candidates.clear();
-      probes.clear();
-      batch.clear();
-    }
-  };
-  void MatchObjectShard(const std::vector<ObjectId>& moved, size_t begin,
-                        size_t end, MatchOutput* out) const;
-  // The batch positive side of MatchObjectShard: sorts the shard's probes
-  // by (slot, id) and runs one predicate kernel per (slot, candidate
-  // query) pair over the slot's SoA batch.
-  void MatchProbeBatches(MatchOutput* out) const;
-  void ApplyMatchDeltas(std::vector<MatchOutput>& outputs,
-                        std::vector<Update>* out);
+  // The sampled movers' positive side: sorts the probes by (slot, id)
+  // and runs one predicate kernel per (slot, candidate query) pair over
+  // the slot's SoA batch, inserting the matches into the query's answer.
+  void RunSlotProbes(std::vector<Update>* out);
 
   // Tick-scoped scratch buffers, owned by the processor and reused across
   // EvaluateTick calls so a steady-state tick performs no per-element
@@ -360,8 +330,11 @@ class QueryProcessor {
     std::vector<ObjectId> moved;
     std::vector<std::pair<QueryId, Rect>> changed_rects;
     std::vector<QueryId> moved_circles;
-    // One MatchOutput per matching shard; each keeps its delta capacity.
-    std::vector<MatchOutput> match_outputs;
+    // The object pass: a predictive mover's candidate queries, the
+    // sampled movers' slot probes and the SoA kernel batch.
+    std::vector<QueryId> candidates;
+    std::vector<SlotProbe> probes;
+    CandidateBatch kernel_batch;
   };
 
   // Highest report timestamp known (applied or pending) for the object,
@@ -380,10 +353,6 @@ class QueryProcessor {
 
   QueryProcessorOptions options_;
   std::unique_ptr<HistoryStore> history_;  // null unless record_history
-  // Fork/join pool for the matching and k-NN search phases; null when
-  // the resolved worker count is 1 (fully serial tick) and in sharded
-  // mode, where the engine owns the pool.
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<GridIndex> grid_;
   ObjectStore objects_;
   QueryStore queries_;
@@ -398,6 +367,10 @@ class QueryProcessor {
   // tick (stream-invisible; see core/grid_refiner.h).
   std::unique_ptr<GridRefiner> refiner_;
   Timestamp last_tick_time_ = 0.0;
+  // The previous tick's raw stream size: EvaluateTick returns a fresh
+  // stream each tick and reserves this much up front, so the stream does
+  // not regrow by doubling.
+  size_t last_stream_size_ = 0;
   // Non-null iff options.num_shards > 1. The front (buffer_, history_,
   // knn_monitor_) stays here; evaluation and the rest of the committed
   // state live in the sharded engine, and the single-grid members above

@@ -712,7 +712,6 @@ void ShardedEngine::TickShards(Timestamp now, TickStats* stats) {
     stats->query_changes_seconds += ss.query_changes_seconds;
     stats->query_pass_seconds += ss.query_pass_seconds;
     stats->object_match_seconds += ss.object_match_seconds;
-    stats->object_apply_seconds += ss.object_apply_seconds;
     stats->cells_split += ss.cells_split;
     stats->cells_merged += ss.cells_merged;
     stats->adapt_seconds += ss.adapt_seconds;

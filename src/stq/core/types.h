@@ -79,10 +79,11 @@ struct TickStats {
   size_t bytes_resident = 0;
 
   // Wall-clock seconds spent in each tick phase (steady-clock). The
-  // object pass is split into its parallel matching half and its serial
-  // delta-replay half so the ablation bench can attribute speedup; the
-  // k-NN refresh likewise into its parallel search half and its serial
-  // diff half.
+  // object pass decides and applies each (query, object) pair in one
+  // step and is timed whole in object_match_seconds; object_apply_seconds
+  // is never written (it stays 0) and is kept only for perfbench, which
+  // still reports it. The k-NN refresh is split into its parallel search
+  // half and its serial diff half.
   double removals_seconds = 0.0;
   double upserts_seconds = 0.0;
   double query_changes_seconds = 0.0;
@@ -110,16 +111,6 @@ struct TickStats {
   double shard_tick_max_seconds = 0.0;   // slowest shard (critical path)
   double shard_merge_seconds = 0.0;   // stream merge + canonicalization
   double shard_knn_seconds = 0.0;     // the whole k-NN refresh
-
-  // The parallelizable share of this tick (match + k-NN search time).
-  double ParallelSeconds() const {
-    return object_match_seconds + knn_search_seconds;
-  }
-  double TotalPhaseSeconds() const {
-    return removals_seconds + upserts_seconds + query_changes_seconds +
-           query_pass_seconds + object_match_seconds + object_apply_seconds +
-           knn_search_seconds + knn_apply_seconds;
-  }
 };
 
 // Accumulates the enclosing scope's wall time into a TickStats field.

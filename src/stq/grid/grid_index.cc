@@ -155,13 +155,6 @@ size_t GridIndex::ObjectCountInCell(const CellCoord& c) const {
       [&](auto&& fn) { ForEachObjectInCell(c, fn); });
 }
 
-size_t GridIndex::QueryCountInCell(const CellCoord& c) const {
-  STQ_DCHECK(c.x >= 0 && c.x < nx_ && c.y >= 0 && c.y < ny_);
-  const Cell& base = CellAt(c);
-  if (base.refined < 0) return base.queries.size();
-  return CountUnique<QueryId>([&](auto&& fn) { ForEachQueryInCell(c, fn); });
-}
-
 size_t GridIndex::MaxLeafObjectEntries(const CellCoord& c) const {
   STQ_DCHECK(c.x >= 0 && c.x < nx_ && c.y >= 0 && c.y < ny_);
   const Cell& base = CellAt(c);
@@ -171,14 +164,6 @@ size_t GridIndex::MaxLeafObjectEntries(const CellCoord& c) const {
     max_entries = std::max(max_entries, leaf.objects.size());
   }
   return max_entries;
-}
-
-bool GridIndex::CellRangeOf(const Rect& r, CellCoord* lo, CellCoord* hi) const {
-  int x0, y0, x1, y1;
-  if (!CellRange(r, &x0, &y0, &x1, &y1)) return false;
-  *lo = CellCoord{x0, y0};
-  *hi = CellCoord{x1, y1};
-  return true;
 }
 
 void GridIndex::InstallLevel(const CellCoord& c, int level) {

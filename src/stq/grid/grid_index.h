@@ -340,26 +340,11 @@ class GridIndex {
   // DensityMonitor's "objects in this region" semantics must not change
   // when a cell splits.
   size_t ObjectCountInCell(const CellCoord& c) const;
-  size_t QueryCountInCell(const CellCoord& c) const;
 
   // Largest per-slot object entry count under one base cell (the base
   // list itself at level 0). This is the GridRefiner's split signal: it
   // bounds the candidate-scan cost of the densest slot.
   size_t MaxLeafObjectEntries(const CellCoord& c) const;
-
-  // The inclusive range of cells a rectangle is clipped into (exactly the
-  // base cells InsertQuery stubs a region into). Returns false when `r`
-  // misses the grid entirely (no cells).
-  bool CellRangeOf(const Rect& r, CellCoord* lo, CellCoord* hi) const;
-
-  // Visits each base cell the clipped segment passes through (exactly the
-  // base cells InsertObjectFootprint clips a footprint into).
-  template <typename Fn>
-  void ForEachCellOnSegment(const Segment& s, Fn&& fn) const {
-    ForEachCellOnSegmentImpl(s, [&](const CellCoord& c, bool /*whole_box*/) {
-      fn(c);
-    });
-  }
 
   // --- Slot enumerators (audit + internal bucketing) ----------------------
   // A *slot* is the id list a geometry maps into: (cell, 0) for an
@@ -400,7 +385,7 @@ class GridIndex {
     int x0, y0, x1, y1;
     if (!CellRange(box, &x0, &y0, &x1, &y1)) {
       // Segment fully outside: clamp both endpoints into the border
-      // slot(s), exactly as the base-level walk clamps into border cells.
+      // slot(s).
       CellCoord ca, cb;
       int la, lb;
       LeafSlotOfPoint(s.a, &ca, &la);
@@ -426,7 +411,7 @@ class GridIndex {
           // The box maps into a single leaf: the segment's in-cell part
           // lies inside it (monotone corner mapping); keep unconditionally
           // — this also protects zero-length footprints, mirroring the
-          // base walk's single-cell special case.
+          // single-cell (whole_box) case above.
           fn(c, res.LeafIndex(lx0, ly0));
           continue;
         }
@@ -534,33 +519,6 @@ class GridIndex {
         const RefinedCell& rc = refined_[base.refined];
         for (size_t leaf = 0; leaf < rc.leaves.size(); ++leaf) {
           fn(c, static_cast<int>(leaf), rc.leaves[leaf]);
-        }
-      }
-    }
-  }
-
-  template <typename Fn>  // fn(const CellCoord&, bool whole_box)
-  void ForEachCellOnSegmentImpl(const Segment& s, Fn&& fn) const {
-    // Conservative traversal: walk the cells of the segment's bounding box
-    // and keep those the segment actually passes through. Footprints are
-    // short (one evaluation period of movement), so the box is small; this
-    // trades a little work for simplicity and robustness over an
-    // error-prone DDA walk.
-    int x0, y0, x1, y1;
-    if (!CellRange(s.BoundingBox(), &x0, &y0, &x1, &y1)) {
-      // Segment fully outside: clamp both endpoints into the border cell(s).
-      const CellCoord ca = CellOf(s.a);
-      const CellCoord cb = CellOf(s.b);
-      fn(ca, true);
-      if (!(ca == cb)) fn(cb, true);
-      return;
-    }
-    const bool whole_box = (x0 == x1 && y0 == y1);
-    for (int cy = y0; cy <= y1; ++cy) {
-      for (int cx = x0; cx <= x1; ++cx) {
-        const CellCoord c{cx, cy};
-        if (whole_box || SegmentIntersectsRect(s, CellBounds(c))) {
-          fn(c, whole_box);
         }
       }
     }

@@ -37,8 +37,7 @@ std::vector<JoinPair> BoundedNestedLoopJoin(
 std::vector<JoinPair> GridPartitionJoin(const std::vector<JoinPoint>& points,
                                         const std::vector<JoinRect>& rects,
                                         const Rect& bounds,
-                                        int cells_per_side,
-                                        ThreadPool* pool) {
+                                        int cells_per_side) {
   STQ_CHECK(!bounds.IsEmpty());
   STQ_CHECK(cells_per_side >= 1);
   if (!(bounds.Width() > 0.0) || !(bounds.Height() > 0.0) ||
@@ -49,29 +48,17 @@ std::vector<JoinPair> GridPartitionJoin(const std::vector<JoinPoint>& points,
   const double cell_w = bounds.Width() / n;
   const double cell_h = bounds.Height() / n;
   const size_t num_cells = static_cast<size_t>(n) * n;
-  const bool parallel = pool != nullptr && pool->num_workers() > 1;
 
-  // Partition phase: compute each point's cell (data-parallel — the
-  // slot writes are disjoint), then bucket indices serially in input
-  // order, which keeps per-bucket order identical to a serial run.
+  // Partition phase: compute each point's cell, then bucket indices in
+  // input order.
   constexpr size_t kOutside = std::numeric_limits<size_t>::max();
   std::vector<size_t> cell_of(points.size(), kOutside);
-  auto hash_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const Point& p = points[i].loc;
-      if (!bounds.Contains(p)) continue;  // outside the universe
-      const int cx = ClampedFloor((p.x - bounds.min_x) / cell_w, n);
-      const int cy = ClampedFloor((p.y - bounds.min_y) / cell_h, n);
-      cell_of[i] = static_cast<size_t>(cy) * n + cx;
-    }
-  };
-  if (parallel) {
-    pool->RunShards(points.size(), [&](int /*shard*/, size_t begin,
-                                       size_t end) {
-      hash_range(begin, end);
-    });
-  } else {
-    hash_range(0, points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    const Point& p = points[i].loc;
+    if (!bounds.Contains(p)) continue;  // outside the universe
+    const int cx = ClampedFloor((p.x - bounds.min_x) / cell_w, n);
+    const int cy = ClampedFloor((p.y - bounds.min_y) / cell_h, n);
+    cell_of[i] = static_cast<size_t>(cy) * n + cx;
   }
   // Flat bucket layout (counting sort): bucket_start[c]..bucket_start[c+1]
   // spans cell c's point indices in `bucketed`, in input order. One flat
@@ -92,44 +79,27 @@ std::vector<JoinPair> GridPartitionJoin(const std::vector<JoinPoint>& points,
 
   // Probe phase: clip each rectangle to its partitions and test only the
   // points bucketed there. A point lies in exactly one bucket, so no
-  // output deduplication is needed. Rect shards emit into private
-  // vectors; the final sort makes the merged output order canonical.
-  auto probe_range = [&](size_t begin, size_t end,
-                         std::vector<JoinPair>* out) {
-    for (size_t ri = begin; ri < end; ++ri) {
-      const JoinRect& r = rects[ri];
-      const Rect region = r.region.Intersection(bounds);
-      if (region.IsEmpty()) continue;
-      const int x0 = ClampedFloor((region.min_x - bounds.min_x) / cell_w, n);
-      const int y0 = ClampedFloor((region.min_y - bounds.min_y) / cell_h, n);
-      const int x1 = ClampedFloor((region.max_x - bounds.min_x) / cell_w, n);
-      const int y1 = ClampedFloor((region.max_y - bounds.min_y) / cell_h, n);
-      for (int cy = y0; cy <= y1; ++cy) {
-        for (int cx = x0; cx <= x1; ++cx) {
-          const size_t c = static_cast<size_t>(cy) * n + cx;
-          for (size_t bi = bucket_start[c]; bi < bucket_start[c + 1]; ++bi) {
-            const size_t i = bucketed[bi];
-            if (region.Contains(points[i].loc)) {
-              out->push_back(JoinPair{r.id, points[i].id});
-            }
+  // output deduplication is needed; the final sort makes the output
+  // order canonical.
+  std::vector<JoinPair> out;
+  for (const JoinRect& r : rects) {
+    const Rect region = r.region.Intersection(bounds);
+    if (region.IsEmpty()) continue;
+    const int x0 = ClampedFloor((region.min_x - bounds.min_x) / cell_w, n);
+    const int y0 = ClampedFloor((region.min_y - bounds.min_y) / cell_h, n);
+    const int x1 = ClampedFloor((region.max_x - bounds.min_x) / cell_w, n);
+    const int y1 = ClampedFloor((region.max_y - bounds.min_y) / cell_h, n);
+    for (int cy = y0; cy <= y1; ++cy) {
+      for (int cx = x0; cx <= x1; ++cx) {
+        const size_t c = static_cast<size_t>(cy) * n + cx;
+        for (size_t bi = bucket_start[c]; bi < bucket_start[c + 1]; ++bi) {
+          const size_t i = bucketed[bi];
+          if (region.Contains(points[i].loc)) {
+            out.push_back(JoinPair{r.id, points[i].id});
           }
         }
       }
     }
-  };
-  std::vector<JoinPair> out;
-  if (parallel) {
-    std::vector<std::vector<JoinPair>> shard_out(
-        static_cast<size_t>(pool->num_workers()));
-    pool->RunShards(rects.size(), [&](int shard, size_t begin, size_t end) {
-      probe_range(begin, end, &shard_out[static_cast<size_t>(shard)]);
-    });
-    size_t total = 0;
-    for (const auto& s : shard_out) total += s.size();
-    out.reserve(total);
-    for (const auto& s : shard_out) out.insert(out.end(), s.begin(), s.end());
-  } else {
-    probe_range(0, rects.size(), &out);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "stq/common/ids.h"
-#include "stq/common/thread_pool.h"
 #include "stq/geo/point.h"
 #include "stq/geo/rect.h"
 
@@ -56,14 +55,11 @@ struct JoinPair {
 // is the universe). `cells_per_side` >= 1. `bounds` must be non-empty
 // but may be degenerate (zero width/height or non-finite extents), in
 // which case the join falls back to a bounds-clipped nested loop with
-// identical semantics. When `pool` has more than one worker, the
-// partition and probe phases shard across it; the output is identical
-// for every worker count.
+// identical semantics.
 std::vector<JoinPair> GridPartitionJoin(const std::vector<JoinPoint>& points,
                                         const std::vector<JoinRect>& rects,
                                         const Rect& bounds,
-                                        int cells_per_side,
-                                        ThreadPool* pool = nullptr);
+                                        int cells_per_side);
 
 // Reference nested-loop join (exact, O(|points| x |rects|)). Oracle for
 // tests and the baseline in the join-strategy bench.

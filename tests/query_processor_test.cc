@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stq/common/random.h"
 #include "stq/core/query_processor.h"
 
 namespace stq {
@@ -483,6 +484,77 @@ TEST(QueryProcessorTest, ManyTicksKeepInvariants) {
     x += 0.03;
     if (x > 0.5) x = 0.05;
   }
+}
+
+// Only the sharded engine runs a worker pool: a single grid ticks
+// serially whatever options.worker_threads says, so a grid built with 4
+// workers reports 1 and emits the 1-worker grid's streams.
+TEST(QueryProcessorTest, SingleGridIgnoresWorkerThreads) {
+  auto run = [](int workers) {
+    QueryProcessorOptions options = TestOptions();
+    options.worker_threads = workers;
+    QueryProcessor qp(options);
+    EXPECT_EQ(qp.worker_threads(), 1);
+    // The call sequence depends only on the seed, never on the statuses.
+    Xorshift128Plus rng(424242);
+    std::vector<std::vector<Update>> streams;
+    for (int tick = 1; tick <= 8; ++tick) {
+      const double now = static_cast<double>(tick);
+      for (int op = 0; op < 60; ++op) {
+        const ObjectId oid = 1 + rng.NextUint64(40);
+        const QueryId qid = 1 + rng.NextUint64(16);
+        const Point p{rng.NextDouble(), rng.NextDouble()};
+        const double t = now + rng.NextDouble();
+        switch (rng.NextUint64(10)) {
+          case 0:
+          case 1:
+            (void)qp.UpsertObject(oid, p, t);
+            break;
+          case 2:
+            (void)qp.UpsertPredictiveObject(
+                oid, p,
+                Velocity{rng.NextDouble(-0.05, 0.05),
+                         rng.NextDouble(-0.05, 0.05)},
+                t);
+            break;
+          case 3:
+            (void)qp.RemoveObject(oid);
+            break;
+          case 4:
+            (void)qp.RegisterRangeQuery(
+                qid, Rect::CenteredSquare(p, rng.NextDouble(0.05, 0.3)));
+            break;
+          case 5:
+            (void)qp.RegisterKnnQuery(qid, p, 3);
+            break;
+          case 6:
+            (void)qp.RegisterCircleQuery(qid, p, 0.15);
+            break;
+          case 7:
+            (void)qp.RegisterPredictiveQuery(
+                qid, Rect::CenteredSquare(p, 0.2), now, now + 10.0);
+            break;
+          case 8:
+            (void)qp.MoveRangeQuery(qid, Rect::CenteredSquare(p, 0.2));
+            (void)qp.MoveKnnQuery(qid, p);
+            (void)qp.MoveCircleQuery(qid, p);
+            (void)qp.MovePredictiveQuery(qid, Rect::CenteredSquare(p, 0.2));
+            break;
+          case 9:
+            (void)qp.UnregisterQuery(qid);
+            break;
+        }
+      }
+      streams.push_back(qp.EvaluateTick(now).updates);
+      EXPECT_TRUE(qp.CheckInvariants().ok()) << "tick " << tick;
+    }
+    return streams;
+  };
+  const std::vector<std::vector<Update>> serial = run(1);
+  size_t updates = 0;
+  for (const std::vector<Update>& s : serial) updates += s.size();
+  EXPECT_GT(updates, 0u);  // the workload produced traffic
+  EXPECT_EQ(run(4), serial);
 }
 
 // --- Non-finite input at the API edge, on the single grid and 4 shards ---

@@ -446,6 +446,32 @@ TEST(ShardedDiffTest, ShardStatsAreAttributed) {
   EXPECT_EQ(r.stats.query_changes_applied, 2u);
 }
 
+// Both engines time the object pass whole: it decides and applies each
+// pair in one step, so its time lands in object_match_seconds and
+// object_apply_seconds stays 0.
+TEST(ShardedDiffTest, PhaseTimersAccumulate) {
+  for (int shards : {1, 4}) {
+    QueryProcessor qp(ShardOptions(shards, /*workers=*/2));
+    for (ObjectId id = 1; id <= 200; ++id) {
+      ASSERT_TRUE(
+          qp.UpsertObject(id, Point{(id % 20) / 20.0, (id / 20) / 10.0}, 0.0)
+              .ok());
+    }
+    ASSERT_TRUE(qp.RegisterRangeQuery(1, Rect{0.1, 0.1, 0.7, 0.7}).ok());
+    ASSERT_TRUE(qp.RegisterKnnQuery(2, Point{0.5, 0.5}, 5).ok());
+    const TickResult r = qp.EvaluateTick(1.0);
+    EXPECT_GT(r.stats.object_match_seconds, 0.0) << shards << " shards";
+    EXPECT_EQ(r.stats.object_apply_seconds, 0.0) << shards << " shards";
+    EXPECT_GT(r.stats.upserts_seconds, 0.0) << shards << " shards";
+    EXPECT_GE(r.stats.knn_search_seconds, 0.0) << shards << " shards";
+  }
+}
+
+TEST(ShardedDiffTest, AutoWorkerCountResolvesToHardware) {
+  QueryProcessor qp(ShardOptions(/*shards=*/4, /*workers=*/0));
+  EXPECT_GE(qp.worker_threads(), 1);
+}
+
 // The single-grid engine now attributes the same fields, so the shards=1
 // ablation row is directly comparable (route covers drain+sort, busy ==
 // wall for the one implicit shard).

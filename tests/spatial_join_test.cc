@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "stq/common/random.h"
-#include "stq/common/thread_pool.h"
 #include "stq/grid/spatial_join.h"
 
 namespace stq {
@@ -144,40 +143,6 @@ TEST(SpatialJoinTest, NonFiniteBoundsFallBackWithoutUb) {
   const Rect unbounded{-inf, 0.0, inf, 1.0};
   const std::vector<JoinPair> expected = {{10, 1}};
   EXPECT_EQ(GridPartitionJoin(points, rects, unbounded, 8), expected);
-}
-
-TEST(SpatialJoinTest, ParallelJoinMatchesSerialAcrossWorkerCounts) {
-  Xorshift128Plus rng(1234);
-  std::vector<JoinPoint> points;
-  std::vector<JoinRect> rects;
-  for (ObjectId id = 1; id <= 400; ++id) {
-    points.push_back({id, Point{rng.NextDouble(), rng.NextDouble()}});
-  }
-  for (QueryId qid = 1; qid <= 120; ++qid) {
-    rects.push_back(
-        {qid, Rect::CenteredSquare(Point{rng.NextDouble(), rng.NextDouble()},
-                                   rng.NextDouble(0.01, 0.4))
-                  .Intersection(kUnit)});
-  }
-  const std::vector<JoinPair> serial =
-      GridPartitionJoin(points, rects, kUnit, 16);
-  EXPECT_EQ(serial, NestedLoopJoin(points, rects));
-  for (int workers : {2, 4}) {
-    ThreadPool pool(workers);
-    EXPECT_EQ(GridPartitionJoin(points, rects, kUnit, 16, &pool), serial)
-        << workers << " workers";
-  }
-}
-
-TEST(SpatialJoinTest, ParallelDegenerateBoundsMatchSerial) {
-  // The fallback path must also be pool-agnostic.
-  const std::vector<JoinPoint> points = {{1, Point{0.5, 0.5}},
-                                         {2, Point{0.5, 0.9}}};
-  const std::vector<JoinRect> rects = {{10, Rect{0.0, 0.0, 1.0, 1.0}}};
-  const Rect vline{0.5, 0.0, 0.5, 1.0};
-  ThreadPool pool(4);
-  EXPECT_EQ(GridPartitionJoin(points, rects, vline, 8, &pool),
-            GridPartitionJoin(points, rects, vline, 8));
 }
 
 }  // namespace
